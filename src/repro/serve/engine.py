@@ -7,7 +7,9 @@ default), and exposes one task-specific head per application family:
 
 * ``classify``  — MNIST-LSTM: label + logits per image;
 * ``score``     — PTB LM: next-token log-probabilities for each window;
-* ``translate`` — GNMT: beam-search decoding with length-bucketed padding.
+* ``translate`` — GNMT: beam search over the whole coalesced batch at
+  once, each request to its own horizon, so a request gets the tokens
+  it would get alone.
 
 ``predict(payloads, lengths)`` is the uniform entry point the
 :class:`~repro.serve.server.Server` drives: it stacks/pads the payloads,
@@ -30,6 +32,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
+from repro.models.beam import beam_decode, check_decode_settings
 from repro.tensor import Tensor, fused_kernels, no_grad
 from repro.tensor.nnops import log_softmax
 from repro.utils.checkpoint import CheckpointManager, load_checkpoint
@@ -57,7 +60,10 @@ class InferenceEngine:
         The checkpoint step these weights correspond to (0 for a fresh
         model).
     beam_size / length_alpha / max_len_factor:
-        GNMT decoding knobs (ignored by the other tasks).
+        GNMT decoding knobs (ignored by the other tasks).  A request's
+        horizon is ``int(source length * max_len_factor) + 2``.  Bad
+        values are refused here (see
+        :func:`~repro.models.beam.check_decode_settings`).
     quantize:
         ``"int8"`` serves the classify head through an int8
         post-training-quantized float32 executor
@@ -87,6 +93,7 @@ class InferenceEngine:
             raise ValueError(
                 "quantize='int8' is only supported for the mnist task"
             )
+        check_decode_settings(beam_size, length_alpha, max_len_factor)
         self.model = model
         self.task = task
         self.fused = bool(fused)
@@ -184,12 +191,14 @@ class InferenceEngine:
     def translate(
         self, src: np.ndarray, src_len: np.ndarray
     ) -> list[dict[str, Any]]:
-        """GNMT head: padded sources -> beam-decoded content tokens each."""
-        from repro.models.beam import beam_decode
+        """GNMT head: padded sources -> beam-decoded content tokens each.
 
+        The batch decodes in one beam loop, each request to its own
+        horizon, so a request's tokens do not depend on its batch mates.
+        """
         src = np.asarray(src, dtype=np.int64)
         src_len = np.asarray(src_len, dtype=np.int64)
-        max_len = int(src_len.max() * self.max_len_factor) + 2
+        max_len = [int(n * self.max_len_factor) + 2 for n in src_len]
         with no_grad(), fused_kernels(self.fused):
             hyps = beam_decode(
                 self.model,
