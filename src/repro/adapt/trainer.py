@@ -45,14 +45,11 @@ import numpy as np
 from repro.adapt.controller import BatchSizeController
 from repro.adapt.estimator import OnlineNoiseScale, probe_batch_fn
 from repro.obs import Obs
-from repro.obs.metrics import GRAD_NORM_BUCKETS
 from repro.optim.base import Optimizer
-from repro.optim.clip import clip_grad_norm
 from repro.schedules.base import Schedule
-from repro.train.resilience import RecoverySchedule
-from repro.train.trainer import TrainResult, _record_point
-from repro.utils.checkpoint import CheckpointManager, read_checkpoint_extra
-from repro.utils.log import RunLog
+from repro.train.resilience import CheckpointedTrainer, RecoverySchedule
+from repro.train.trainer import TrainResult
+from repro.utils.checkpoint import CheckpointManager
 
 
 class AdaptiveLRSchedule(RecoverySchedule):
@@ -76,8 +73,14 @@ class AdaptiveLRSchedule(RecoverySchedule):
             self.rewarmup_steps = int(rewarmup_steps)
 
 
-class AdaptiveBatchTrainer:
+class AdaptiveBatchTrainer(CheckpointedTrainer):
     """Train with the batch size steered by the online noise scale.
+
+    The :class:`~repro.train.trainer.Trainer` loop with a batch change at
+    each epoch start and a noise-scale feed after each step.  There is no
+    rollback: a fault (non-finite loss or eval metric) ends the run as
+    diverged.  The engine is always eager and full precision — neither
+    ``REPRO_COMPILE`` nor ``REPRO_AMP`` reaches this trainer.
 
     Parameters
     ----------
@@ -126,6 +129,8 @@ class AdaptiveBatchTrainer:
         Optional hardened checkpointing; required for ``resume=True``.
     """
 
+    _run_span = "adaptive_train"
+
     def __init__(
         self,
         model,
@@ -156,15 +161,8 @@ class AdaptiveBatchTrainer:
             raise ValueError("noise_every must be >= 1")
         if probe_ratio < 2:
             raise ValueError("probe_ratio must be >= 2 (b_small must shrink)")
-        self.model = model
-        self.optimizer = optimizer
-        self.envelope = AdaptiveLRSchedule(schedule)
-        self.make_train_iter = make_train_iter
-        self.base_batch = int(base_batch)
-        self.controller = controller
-        self.estimator = estimator or OnlineNoiseScale()
-        self.data_seed = int(data_seed)
-        self.cluster = cluster
+        if checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be >= 1")
         if cluster is not None:
             cluster.noise_tap = True
         if loss_fn is None:
@@ -175,26 +173,34 @@ class AdaptiveBatchTrainer:
                     loss_fn = cluster.as_loss_fn(model)
             else:
                 loss_fn = model.loss
-        self.loss_fn = loss_fn
-        self.eval_fn = eval_fn
-        self.grad_clip = grad_clip
-        self.obs = obs
+        super().__init__(
+            loss_fn,
+            optimizer,
+            AdaptiveLRSchedule(schedule),
+            make_train_iter(int(base_batch), int(data_seed)),
+            eval_fn=eval_fn,
+            grad_clip=grad_clip,
+            obs=obs,
+            compiled=False,
+            amp=False,
+        )
+        self.model = model
+        self.make_train_iter = make_train_iter
+        self.base_batch = int(base_batch)
+        self.controller = controller
+        self.estimator = estimator or OnlineNoiseScale()
+        self.data_seed = int(data_seed)
+        self.cluster = cluster
         self.noise_every = int(noise_every)
         self.probe_ratio = int(probe_ratio)
         self.base_warmup_epochs = float(base_warmup_epochs)
         self.rewarmup = bool(rewarmup)
-        self.manager = (
-            CheckpointManager(checkpoint_dir, keep_last=keep_last)
-            if checkpoint_dir is not None
-            else None
-        )
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
+        if checkpoint_dir is not None:
+            self.manager = CheckpointManager(checkpoint_dir, keep_last=keep_last)
         self.checkpoint_every = int(checkpoint_every)
 
         self.current_batch = self.base_batch
         self.growths = 0
-        self.train_iter = make_train_iter(self.base_batch, self.data_seed)
         base_steps = int(getattr(self.train_iter, "steps_per_epoch", 1) or 1)
         # the LEGW-invariant re-warmup length: warmup epochs ∝ k and steps
         # per epoch ∝ 1/k cancel, so every growth re-warms over the same
@@ -248,16 +254,15 @@ class AdaptiveBatchTrainer:
             self.loss_fn, self._probe_fn, params, b_small, b_big, gen
         )
 
-    # -- checkpoint plumbing -------------------------------------------------
+    # -- checkpointed policy state -------------------------------------------
 
     _TRAJ_LIMIT = 64  # growths are ~log2(max/base); 64 is unreachable headroom
 
-    def _save(self, iteration: int, epoch: int) -> None:
+    def _state(self) -> dict[str, float]:
         extra: dict[str, float] = {
-            "epoch": float(epoch),
             "current_batch": float(self.current_batch),
             "growths": float(self.growths),
-            **self.envelope.state(),
+            **super()._state(),
         }
         for key, value in self.estimator.state_dict().items():
             extra[f"est_{key}"] = float(value)
@@ -267,170 +272,62 @@ class AdaptiveBatchTrainer:
         for i, (ep, batch) in enumerate(self.trajectory[: self._TRAJ_LIMIT]):
             extra[f"traj_{i}_epoch"] = float(ep)
             extra[f"traj_{i}_batch"] = float(batch)
-        self.manager.save(
-            self.model,
-            self.optimizer,
-            iteration,
-            rng=getattr(self.train_iter, "rng", None),
-            extra=extra,
-        )
+        return extra
 
-    def _restore_latest(self) -> tuple[int, int] | None:
-        latest = self.manager.latest()
-        if latest is None:
-            return None
-        # the loader must exist at the checkpointed batch size *before*
-        # load_latest can restore its shuffling stream in place
-        extra = read_checkpoint_extra(latest)
+    def _load_state(self, extra: dict[str, float]) -> None:
+        super()._load_state(extra)
         self.current_batch = int(extra["current_batch"])
         self.growths = int(extra["growths"])
         if self.growths > 0:
+            # the loader at the checkpointed batch size takes over the
+            # shuffling stream just restored into the base-batch loader
+            state = self.train_iter.rng.bit_generator.state
             self._rebuild_loader(self.current_batch)
-        self.envelope.load_state(extra)
-        self.estimator.load_state_dict(
-            {
-                key[len("est_") :]: value
-                for key, value in extra.items()
-                if key.startswith("est_")
-            }
-        )
-        self.controller.load_state_dict(
-            {
-                key[len("ctl_") :]: value
-                for key, value in extra.items()
-                if key.startswith("ctl_")
-            }
-        )
+            self.train_iter.rng.bit_generator.state = state
+        self.estimator.load_state_dict(_prefixed(extra, "est_"))
+        self.controller.load_state_dict(_prefixed(extra, "ctl_"))
         self.trajectory = [
             (int(extra[f"traj_{i}_epoch"]), int(extra[f"traj_{i}_batch"]))
             for i in range(int(extra["traj_len"]))
         ]
-        loaded = self.manager.load_latest(
-            self.model,
-            self.optimizer,
-            rng=getattr(self.train_iter, "rng", None),
-        )
-        if loaded is None:  # pragma: no cover - latest() was non-None above
-            return None
-        iteration, _ = loaded
-        return iteration, int(extra["epoch"])
 
-    # -- the loop ------------------------------------------------------------
+    # -- policy points -------------------------------------------------------
 
-    def run(self, epochs: int, log_every: int = 1, resume: bool = False) -> TrainResult:
-        obs = self.obs
-        if obs is not None and obs.tracer is not None:
-            with obs.span("adaptive_train"):
-                return self._run(epochs, log_every, resume)
-        return self._run(epochs, log_every, resume)
+    def _epoch_start(self, epoch: int, iteration: int) -> None:
+        # the growth decision for epoch N is made as N *starts*, never
+        # after the run's (or a killed process's) last boundary
+        # checkpoint — so a resumed run re-makes the very decision the
+        # uninterrupted run made, from the same restored estimator
+        if epoch > 0:
+            proposed = self.controller.propose(
+                self.estimator, self.current_batch, epoch
+            )
+            if proposed > self.current_batch:
+                self._grow(proposed, epoch, iteration)
 
-    def _run(self, epochs: int, log_every: int, resume: bool) -> TrainResult:
-        if resume and self.manager is None:
-            raise ValueError("resume=True requires a checkpoint_dir")
-        obs = self.obs
-        tracer = obs.tracer if obs is not None else None
-        mreg = obs.metrics if obs is not None else None
-        log = RunLog()
-        result = TrainResult(log=log)
+    def _after_step(self, iteration: int) -> None:
+        with self._span("noise_probe"):
+            self._feed_estimator(iteration)
+        mreg = self.obs.metrics if self.obs is not None else None
+        if mreg is not None:
+            mreg.gauge("adapt/batch_size").set(float(self.current_batch))
+            self.estimator.observe(mreg)
 
-        iteration = 0
-        epoch = 0
-        if resume:
-            restored = self._restore_latest()
-            if restored is not None:
-                iteration, epoch = restored
-        if self.manager is not None and (not resume or self.manager.latest() is None):
-            self._save(iteration, epoch)
+    def _epoch_end(self, log, epoch: int, iteration: int, epochs: int) -> None:
+        log.record("batch_size", epoch - 1, float(self.current_batch))
+        log.record("noise_scale", epoch - 1, self.estimator.noise_scale)
+        super()._epoch_end(log, epoch, iteration, epochs)
 
-        result.epochs_completed = epoch
-        while epoch < epochs:
-            # the growth decision for epoch N is made as N *starts*, never
-            # after the run's (or a killed process's) last boundary
-            # checkpoint — so a resumed run re-makes the very decision the
-            # uninterrupted run made, from the same restored estimator
-            if epoch > 0:
-                proposed = self.controller.propose(
-                    self.estimator, self.current_batch, epoch
-                )
-                if proposed > self.current_batch:
-                    self._grow(proposed, epoch, iteration)
-            diverged_at: int | None = None
-            for batch in self.train_iter:
-                lr = self.envelope(iteration)
-                self.optimizer.zero_grad()
-                if tracer is None:
-                    loss = self.loss_fn(batch)
-                else:
-                    with obs.span("forward"):
-                        loss = self.loss_fn(batch)
-                loss_val = float(loss.data)
-                if not math.isfinite(loss_val):
-                    diverged_at = iteration
-                    break
-                if tracer is None:
-                    loss.backward()
-                else:
-                    with obs.span("backward"):
-                        loss.backward()
-                norm: float | None = None
-                if self.grad_clip is not None:
-                    params = [p for _, p in self.optimizer.params]
-                    norm = clip_grad_norm(params, self.grad_clip)
-                if tracer is None:
-                    self.optimizer.step(lr=lr)
-                else:
-                    with obs.span("step"):
-                        self.optimizer.step(lr=lr)
-                if tracer is None:
-                    self._feed_estimator(iteration)
-                else:
-                    with obs.span("noise_probe"):
-                        self._feed_estimator(iteration)
-                if mreg is not None:
-                    mreg.counter("train/iterations").inc()
-                    mreg.gauge("train/loss").set(loss_val)
-                    mreg.gauge("train/lr").set(lr)
-                    mreg.gauge("adapt/batch_size").set(float(self.current_batch))
-                    if norm is not None:
-                        mreg.histogram(
-                            "train/grad_norm", GRAD_NORM_BUCKETS
-                        ).observe(norm)
-                    self.estimator.observe(mreg)
-                if iteration % log_every == 0:
-                    _record_point(log, iteration, loss_val, lr, norm)
-                iteration += 1
-
-            if diverged_at is not None:
-                _record_point(
-                    log, diverged_at, float("nan"), self.envelope(diverged_at), None
-                )
-                result.diverged = True
-                result.epochs_completed = epoch
-                result.final_metrics["diverged"] = 1.0
-                break
-
-            log.record("batch_size", epoch, float(self.current_batch))
-            log.record("noise_scale", epoch, self.estimator.noise_scale)
-            epoch += 1
-            result.epochs_completed = epoch
-            if self.eval_fn is not None:
-                if tracer is None:
-                    metrics = self.eval_fn()
-                else:
-                    with obs.span("eval"):
-                        metrics = self.eval_fn()
-                for name, value in metrics.items():
-                    log.record(f"eval_{name}", epoch - 1, float(value))
-                result.final_metrics = dict(metrics)
-
-            if self.manager is not None and (
-                epoch % self.checkpoint_every == 0 or epoch == epochs
-            ):
-                self._save(iteration, epoch)
-
-        result.final_metrics.setdefault("diverged", 0.0)
+    def _finish(self, result: TrainResult, iteration: int) -> None:
         result.final_metrics["optimizer_steps"] = float(iteration)
         result.final_metrics["final_batch"] = float(self.current_batch)
         result.final_metrics["growth_events"] = float(self.growths)
         result.final_metrics["noise_scale"] = self.estimator.noise_scale
-        return result
+
+
+def _prefixed(extra: dict[str, float], prefix: str) -> dict[str, float]:
+    return {
+        key[len(prefix) :]: value
+        for key, value in extra.items()
+        if key.startswith(prefix)
+    }

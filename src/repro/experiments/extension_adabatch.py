@@ -25,12 +25,10 @@ batch-size and noise-scale trajectories.
 
 from __future__ import annotations
 
-import math
-
 from repro.experiments.common import build_workload, score_of
-from repro.optim.clip import clip_grad_norm
+from repro.experiments.extension_growbatch import train_grow_batch
 from repro.parallel.perfmodel import DeviceModel
-from repro.schedules import ConstantLR, GradualWarmup, GrowBatchSchedule
+from repro.schedules import GrowBatchSchedule
 from repro.utils.tables import Table
 
 # same fixed-overhead flavour as extension_growbatch; units arbitrary
@@ -54,41 +52,6 @@ def _adaptive_epoch_batches(trainer, epochs: int) -> list[int]:
                 batch = value
         batches.append(batch)
     return batches
-
-
-def _train_milestone(wl, grow: GrowBatchSchedule, seed: int) -> tuple[float, int]:
-    """Open-loop milestone growth (LR flat after base warmup).
-
-    Returns (final metric, optimizer steps); the modeled time comes from
-    the schedule's ladder.
-    """
-    model = wl.make_model(seed)
-    optimizer = wl.make_optimizer(model)
-    warmup_iters = int(round(wl.base_warmup_epochs * wl.steps_per_epoch(wl.base_batch)))
-    schedule = GradualWarmup(ConstantLR(wl.base_lr), warmup_iters)
-    eval_fn = wl.make_eval_fn(model)
-    params = [p for _, p in optimizer.params]
-
-    iteration = 0
-    current_batch = None
-    train_iter = None
-    for epoch in range(wl.epochs):
-        batch_size = grow.batch_at(epoch)
-        if batch_size != current_batch:
-            train_iter = wl.make_train_iter(batch_size, seed + 1 + epoch)
-            current_batch = batch_size
-        for batch in train_iter:
-            lr = schedule(iteration)
-            optimizer.zero_grad()
-            loss = model.loss(batch)
-            if not math.isfinite(float(loss.data)):
-                return float("nan"), iteration
-            loss.backward()
-            if wl.grad_clip is not None:
-                clip_grad_norm(params, wl.grad_clip)
-            optimizer.step(lr=lr)
-            iteration += 1
-    return float(eval_fn()[wl.metric]), iteration
 
 
 def run(preset: str = "smoke", seed: int = 0, workload: str = "mnist") -> dict:
@@ -115,10 +78,10 @@ def run(preset: str = "smoke", seed: int = 0, workload: str = "mnist") -> dict:
         factor=2.0,
         max_batch=max_batch,
     )
-    mile_score, mile_steps = _train_milestone(wl, grow, seed)
+    milestone = train_grow_batch(wl, grow, seed)
     arms["milestone"] = {
-        "score": mile_score,
-        "steps": mile_steps,
+        "score": score_of(milestone, wl.metric),
+        "steps": int(milestone.final_metrics["optimizer_steps"]),
         "time": _modeled_time(wl, grow.ladder(wl.epochs)),
         "final_batch": grow.batch_at(wl.epochs - 1),
     }

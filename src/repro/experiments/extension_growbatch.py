@@ -30,57 +30,60 @@ from :mod:`repro.adapt` and beating this recipe on both axes.
 
 from __future__ import annotations
 
-import math
-
-from repro.data import BatchIterator
-from repro.experiments.common import build_workload
-from repro.optim.clip import clip_grad_norm
+from repro.experiments.common import build_workload, score_of
 from repro.parallel.perfmodel import DeviceModel
-from repro.schedules import GradualWarmup, ConstantLR, GrowBatchSchedule, MultiStepDecay
+from repro.schedules import ConstantLR, GradualWarmup, GrowBatchSchedule
+from repro.train import Trainer, TrainResult
 from repro.utils.tables import Table
 
 # same fixed-overhead flavour as the paper's accelerators; units arbitrary
 RESNET_DEVICE = DeviceModel(t_fixed=256.0, t_sample=1.0)
 
 
-def _train_grow_batch(wl, grow: GrowBatchSchedule, seed: int) -> tuple[float, float]:
-    """Custom loop: rebuild the loader whenever the batch schedule says so.
+class _MilestoneTrainer(Trainer):
+    """The training loop under an open-loop batch ladder.
 
-    Returns (final metric, modeled wall time).
+    At each epoch start the loader is rebuilt, with seed
+    ``seed + 1 + epoch``, whenever ``grow`` changes the batch; the LR holds
+    at the base LR after the base warmup.  ``REPRO_COMPILE`` and
+    ``REPRO_AMP`` do not reach it: the arm always trains eager, in full
+    precision.
+    """
+
+    def __init__(self, wl, grow: GrowBatchSchedule, seed: int, model) -> None:
+        warmup = int(round(wl.base_warmup_epochs * wl.steps_per_epoch(wl.base_batch)))
+        super().__init__(
+            model.loss,
+            wl.make_optimizer(model),
+            GradualWarmup(ConstantLR(wl.base_lr), warmup),
+            None,  # built by the first epoch start
+            grad_clip=wl.grad_clip,
+            compiled=False,
+            amp=False,
+        )
+        self.wl, self.grow, self.seed = wl, grow, seed
+        self.batch: int | None = None
+
+    def _epoch_start(self, epoch: int, iteration: int) -> None:
+        batch = self.grow.batch_at(epoch)
+        if batch != self.batch:
+            self.batch = batch
+            self.train_iter = self.wl.make_train_iter(batch, self.seed + 1 + epoch)
+
+
+def train_grow_batch(wl, grow: GrowBatchSchedule, seed: int) -> TrainResult:
+    """Train ``wl`` for ``wl.epochs`` epochs under the batch ladder ``grow``.
+
+    The metric is evaluated once, after the last epoch; the final metrics
+    also carry ``optimizer_steps``.
     """
     model = wl.make_model(seed)
-    optimizer = wl.make_optimizer(model)
-    base_spe = wl.steps_per_epoch(wl.base_batch)
-    warmup_iters = int(round(wl.base_warmup_epochs * base_spe))
-    schedule = GradualWarmup(ConstantLR(wl.base_lr), warmup_iters)
-    eval_fn = wl.make_eval_fn(model)
-    params = [p for _, p in optimizer.params]
-
-    iteration = 0
-    modeled_time = 0.0
-    current_batch = None
-    train_iter = None
-    for epoch in range(wl.epochs):
-        batch_size = grow.batch_at(epoch)
-        if batch_size != current_batch:
-            train_iter = wl.make_train_iter(batch_size, seed + 1 + epoch)
-            current_batch = batch_size
-        for batch in train_iter:
-            lr = schedule(iteration)
-            optimizer.zero_grad()
-            loss = model.loss(batch)
-            if not math.isfinite(float(loss.data)):
-                return float("nan"), modeled_time
-            loss.backward()
-            if wl.grad_clip is not None:
-                clip_grad_norm(params, wl.grad_clip)
-            optimizer.step(lr=lr)
-            iteration += 1
-        modeled_time += wl.steps_per_epoch(batch_size) * RESNET_DEVICE.iteration_time(
-            batch_size
-        )
-    metrics = eval_fn()
-    return float(metrics[wl.metric]), modeled_time
+    trainer = _MilestoneTrainer(wl, grow, seed, model)
+    result = trainer.run(wl.epochs)
+    if not result.diverged:
+        result.final_metrics.update(wl.make_eval_fn(model)())
+    result.final_metrics["optimizer_steps"] = float(trainer.optimizer.iteration)
+    return result
 
 
 def run(preset: str = "smoke", seed: int = 0) -> dict:
@@ -99,7 +102,12 @@ def run(preset: str = "smoke", seed: int = 0) -> dict:
     grow = GrowBatchSchedule(
         wl.base_batch, milestones, factor=4.0, max_batch=wl.n_train // 2
     )
-    grow_score, grow_time = _train_grow_batch(wl, grow, seed)
+    grow_result = train_grow_batch(wl, grow, seed)
+    grow_score = score_of(grow_result, wl.metric)
+    grow_time = sum(
+        wl.steps_per_epoch(b) * RESNET_DEVICE.iteration_time(b)
+        for b in grow.ladder(grow_result.epochs_completed)
+    )
 
     table = Table(
         "Extension: decay the LR vs grow the batch (mini-ResNet, "

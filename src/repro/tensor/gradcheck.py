@@ -55,12 +55,15 @@ class GradcheckReport:
     ``max_abs_err`` / ``max_rel_err`` map the index of each checked input
     (those with ``requires_grad``) to ``max |analytic - numeric|`` and to
     the same deviation divided by ``max(|numeric|, 1)`` respectively.
-    Always truthy — a failed check raises instead of returning — so
+    ``noise_floor`` is the rounding noise of the central differences,
+    ``eps_mach * |f| / eps``, which the check added to ``atol``.  Always
+    truthy — a failed check raises instead of returning — so
     ``assert gradcheck(...)`` remains a valid idiom.
     """
 
     max_abs_err: dict[int, float] = field(default_factory=dict)
     max_rel_err: dict[int, float] = field(default_factory=dict)
+    noise_floor: float = 0.0
 
     def __bool__(self) -> bool:  # report of a *passed* check
         return True
@@ -85,11 +88,17 @@ def gradcheck(
 ) -> GradcheckReport:
     """Check analytic gradients of scalar ``fn`` against finite differences.
 
-    An input passes when ``|analytic - numeric| <= atol + rtol * |numeric|``
+    An input passes when
+    ``|analytic - numeric| <= atol + noise_floor + rtol * |numeric|``
     elementwise (the ``np.allclose`` contract, with ``rtol`` scaling by the
-    finite-difference magnitude).  Raises ``AssertionError`` with a
-    diagnostic naming the offending input on mismatch; otherwise returns a
-    :class:`GradcheckReport` with each input's max absolute/relative error.
+    finite-difference magnitude).  ``noise_floor = eps_mach * |f| / eps``:
+    each evaluation of ``f`` is rounded to about ``eps_mach * |f|``, and
+    central differences divide two of them by ``2 * eps``, so on a large
+    ``|f|`` (``x**16`` is 4e7 at ``x = 3``) a smaller deviation is noise
+    of the oracle, not an error of the gradient.  Raises ``AssertionError``
+    with a diagnostic naming the offending input on mismatch; otherwise
+    returns a :class:`GradcheckReport` with each input's max
+    absolute/relative error and the noise floor.
     """
     inputs = list(inputs)
     for t in inputs:
@@ -98,7 +107,8 @@ def gradcheck(
     if out.size != 1:
         raise ValueError("gradcheck requires a scalar-valued function")
     out.backward()
-    report = GradcheckReport()
+    noise_floor = float(np.finfo(np.float64).eps * abs(float(out.data)) / eps)
+    report = GradcheckReport(noise_floor=noise_floor)
     for i, t in enumerate(inputs):
         if not t.requires_grad:
             continue
@@ -110,10 +120,11 @@ def gradcheck(
         max_rel = float((abs_err / scale).max()) if abs_err.size else 0.0
         report.max_abs_err[i] = max_abs
         report.max_rel_err[i] = max_rel
-        if not np.allclose(analytic, numeric, atol=atol, rtol=rtol):
+        if not np.allclose(analytic, numeric, atol=atol + noise_floor, rtol=rtol):
             raise AssertionError(
                 f"gradient mismatch on input {i}: max abs err {max_abs:.3e}, "
-                f"max rel err {max_rel:.3e} (atol={atol:g}, rtol={rtol:g})\n"
+                f"max rel err {max_rel:.3e} (atol={atol:g}, rtol={rtol:g}, "
+                f"noise floor={noise_floor:.3e})\n"
                 f"analytic:\n{analytic}\nnumeric:\n{numeric}"
             )
     return report

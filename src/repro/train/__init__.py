@@ -8,20 +8,16 @@ from repro.train.metrics import (
     ngram_counts,
 )
 from repro.train.trainer import Trainer, TrainResult
-from repro.train.accumulate import AccumulatingTrainer, accumulate_gradients
 from repro.train.resilience import RecoverySchedule, ResilientTrainer
 from repro.train.tuner import GridTuner, TuningOutcome
 from repro.train.callbacks import (
     Callback,
     BestMetric,
     EarlyStopping,
-    CheckpointEveryN,
     LambdaCallback,
 )
 
 __all__ = [
-    "AccumulatingTrainer",
-    "accumulate_gradients",
     "accuracy",
     "top_k_accuracy",
     "perplexity_from_loss",
@@ -36,6 +32,5 @@ __all__ = [
     "Callback",
     "BestMetric",
     "EarlyStopping",
-    "CheckpointEveryN",
     "LambdaCallback",
 ]

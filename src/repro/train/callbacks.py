@@ -1,4 +1,4 @@
-"""Trainer callbacks: early stopping, best-metric tracking, checkpointing.
+"""Trainer callbacks: early stopping and best-metric tracking.
 
 The bare :class:`~repro.train.trainer.Trainer` loop stays minimal (it is
 the measured object in the paper's experiments, where nothing may
@@ -16,10 +16,7 @@ reason — normal completion, early stop, or divergence.
 from __future__ import annotations
 
 import math
-import pathlib
 from typing import Callable
-
-from repro.utils.checkpoint import save_checkpoint
 
 
 class Callback:
@@ -99,58 +96,6 @@ class EarlyStopping(BestMetric):
             self.stopped_epoch = epoch
             return True
         return False
-
-
-class CheckpointEveryN(Callback):
-    """Save a checkpoint every ``every`` epochs (and always at the last
-    call), keeping one file per save under ``directory``.
-
-    The final-epoch guarantee is honoured through ``on_train_end``: a run
-    of ``epochs=10`` with ``every=3`` saves after epochs 2, 5, 8 *and* 9.
-    Saves are atomic + checksummed (:func:`repro.utils.save_checkpoint`);
-    ``keep_last`` optionally prunes all but the newest ``k`` files.
-    """
-
-    def __init__(
-        self, directory, model, optimizer=None, every: int = 1,
-        keep_last: int | None = None,
-    ):
-        if every < 1:
-            raise ValueError("every must be >= 1")
-        if keep_last is not None and keep_last < 1:
-            raise ValueError("keep_last must be >= 1 (or None to keep all)")
-        self.directory = pathlib.Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.model = model
-        self.optimizer = optimizer
-        self.every = every
-        self.keep_last = keep_last
-        self.saved: list[pathlib.Path] = []
-        self._iteration = 0
-        self._last_epoch: int | None = None
-        self._last_saved_epoch: int | None = None
-
-    def _save(self, epoch: int) -> None:
-        path = self.directory / f"epoch_{epoch:04d}.npz"
-        save_checkpoint(path, self.model, self.optimizer, self._iteration)
-        self.saved.append(path)
-        self._last_saved_epoch = epoch
-        if self.keep_last is not None:
-            while len(self.saved) > self.keep_last:
-                self.saved.pop(0).unlink(missing_ok=True)
-
-    def on_iteration(self, iteration: int, loss: float, lr: float) -> None:
-        self._iteration = iteration
-
-    def on_epoch_end(self, epoch: int, metrics: dict[str, float]) -> bool:
-        self._last_epoch = epoch
-        if (epoch + 1) % self.every == 0:
-            self._save(epoch)
-        return False
-
-    def on_train_end(self, result) -> None:
-        if self._last_epoch is not None and self._last_saved_epoch != self._last_epoch:
-            self._save(self._last_epoch)
 
 
 class LambdaCallback(Callback):

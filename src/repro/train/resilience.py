@@ -3,9 +3,9 @@
 The paper's whole argument concerns the unstable early phase of
 large-batch training — warmup exists because large peak LRs diverge
 early.  The plain :class:`~repro.train.trainer.Trainer` *records* a
-NaN/inf loss and stops (the comprehensive-tuning figures need diverged
-runs as data points); :class:`ResilientTrainer` instead treats it as a
-recoverable fault and applies the paper-faithful remedy:
+fault (a NaN/inf loss or eval metric) and stops (the comprehensive-tuning
+figures need diverged runs as data points); :class:`ResilientTrainer` is
+the same loop with a rollback fault policy, the paper-faithful remedy:
 
 1. restore the last good checkpoint (model, optimizer, loss scaler, EMA
    shadow, data-shuffling RNG — the full bit-exact state);
@@ -30,24 +30,20 @@ points stay in the series, and the replayed iterations append after them.
 
 from __future__ import annotations
 
-import math
 import pathlib
 from typing import Callable, Iterable
 
-import numpy as np
-
 from repro.obs import Obs
-from repro.obs.metrics import GRAD_NORM_BUCKETS
 from repro.obs.telemetry import HealthMonitor, default_training_rules
 from repro.optim.base import Optimizer
-from repro.optim.clip import clip_grad_norm
+from repro.optim.clip import clip_grad_norm  # noqa: F401  (perfbench wraps it by name)
 from repro.optim.ema import EMAWeights
 from repro.optim.loss_scaler import DynamicLossScaler
+from repro.parallel.cluster import _InstalledGradients
 from repro.schedules.base import Schedule
-from repro.tensor.amp import amp_enabled, autocast
-from repro.train.trainer import TrainResult, _record_point
+from repro.tensor.amp import amp_enabled
+from repro.train.trainer import Trainer, TrainResult
 from repro.utils.checkpoint import CheckpointManager, read_checkpoint_extra
-from repro.utils.log import RunLog
 
 
 class RecoverySchedule(Schedule):
@@ -94,8 +90,96 @@ class RecoverySchedule(Schedule):
         self.rewarmup_steps = int(state["rewarmup_steps"])
 
 
-class ResilientTrainer:
+class CheckpointedTrainer(Trainer):
+    """The training loop with hardened checkpoints.
+
+    A baseline save at run start (or a full-state resume), a save every
+    ``checkpoint_every`` epochs and after the last one, and one restore
+    shared by resume and rollback.  Subclasses set ``model``, ``manager``
+    (``None`` turns checkpoints off) and ``checkpoint_every``, and carry
+    their own policy scalars in a checkpoint's ``extra`` through
+    :meth:`_state` / :meth:`_load_state`.  The schedule is a
+    :class:`RecoverySchedule` envelope, whose state rides along.
+    """
+
+    model = None
+    manager: CheckpointManager | None = None
+    checkpoint_every = 1
+    ema: EMAWeights | None = None
+
+    def run(self, epochs: int, log_every: int = 1, resume: bool = False) -> TrainResult:
+        return self._run(epochs, log_every, resume)
+
+    @property
+    def envelope(self) -> RecoverySchedule:
+        return self.schedule
+
+    def _state(self) -> dict[str, float]:
+        return self.schedule.state()
+
+    def _load_state(self, extra: dict[str, float]) -> None:
+        self.schedule.load_state(extra)
+
+    def _save(self, iteration: int, epoch: int) -> None:
+        self.manager.save(
+            self.model,
+            self.optimizer,
+            iteration,
+            loss_scaler=self.loss_scaler,
+            ema=self.ema,
+            rng=getattr(self.train_iter, "rng", None),
+            extra={"epoch": float(epoch), **self._state()},
+        )
+
+    def _restore(self, resume: bool) -> tuple[int, int] | None:
+        """Load the newest good checkpoint; returns (iteration, epoch).
+
+        ``resume`` additionally restores the policy state
+        (:meth:`_load_state`) — wanted on process resume, *not* on
+        rollback, which keeps its in-memory counters and backs off
+        further.
+        """
+        loaded = self.manager.load_latest(
+            self.model,
+            self.optimizer,
+            loss_scaler=self.loss_scaler,
+            ema=self.ema,
+            rng=getattr(self.train_iter, "rng", None),
+        )
+        if loaded is None:
+            return None
+        iteration, path = loaded
+        extra = read_checkpoint_extra(path)
+        if resume:
+            self._load_state(extra)
+        return iteration, int(extra.get("epoch", 0))
+
+    def _begin(self, resume: bool) -> tuple[int, int]:
+        if self.manager is None:
+            if resume:
+                raise ValueError("resume=True requires a checkpoint_dir")
+            return 0, 0
+        start = (self._restore(resume=True) if resume else None) or (0, 0)
+        if not resume or self.manager.latest() is None:
+            # the baseline checkpoint: an epoch-0 fault needs a rollback target
+            self._save(*start)
+        return start
+
+    def _epoch_end(self, log, epoch: int, iteration: int, epochs: int) -> None:
+        if self.manager is not None and (
+            epoch % self.checkpoint_every == 0 or epoch == epochs
+        ):
+            self._save(iteration, epoch)
+
+
+class ResilientTrainer(CheckpointedTrainer):
     """Drive a model through ``epochs`` epochs, surviving faults.
+
+    The :class:`~repro.train.trainer.Trainer` loop with a rollback fault
+    policy, checkpoints and an optional EMA update after each step.  A
+    fault is a non-finite loss (after ``fault_injector``), a non-finite
+    eval metric, or a critical health event; each one rolls back until
+    ``max_recoveries`` is spent, and the next ends the run as diverged.
 
     Parameters
     ----------
@@ -123,7 +207,8 @@ class ResilientTrainer:
         Optional ``gradient_fn(batch) -> float`` that computes the loss
         *and installs gradients* itself — the hook through which a
         :class:`~repro.parallel.mp.MultiprocessCluster` drives this loop.
-        Mutually exclusive with ``loss_scaler``.
+        Its loss is checked like any other; the trainer's backward is
+        then a no-op.  Mutually exclusive with ``loss_scaler``.
     loss_scaler / ema:
         Optional :class:`DynamicLossScaler` (scaled backward, skip on
         overflow) and :class:`EMAWeights` (updated after each step); both
@@ -155,6 +240,9 @@ class ResilientTrainer:
         iteration it recovers from.  The monitor's event log feeds the
         run report.
     """
+
+
+    _run_span = "resilient_train"
 
     def __init__(
         self,
@@ -197,15 +285,28 @@ class ResilientTrainer:
             )
         if amp is None:
             amp = amp_enabled() and gradient_fn is None
+        if gradient_fn is not None:
+            def installed(batch):  # gradient_fn installs the gradients itself
+                return _InstalledGradients(gradient_fn(batch))
+
+            loss_fn = installed
+        elif loss_fn is None:
+            loss_fn = model.loss
+        # never compiled: REPRO_COMPILE does not reach this trainer
+        super().__init__(
+            loss_fn,
+            optimizer,
+            RecoverySchedule(schedule),
+            train_iter,
+            eval_fn=eval_fn,
+            grad_clip=grad_clip,
+            obs=obs,
+            metrics_every=metrics_every,
+            compiled=False,
+            amp=amp,
+            loss_scaler=loss_scaler,
+        )
         self.model = model
-        self.optimizer = optimizer
-        self.envelope = RecoverySchedule(schedule)
-        self.train_iter = train_iter
-        self.loss_fn = loss_fn if loss_fn is not None else model.loss
-        self.gradient_fn = gradient_fn
-        self.eval_fn = eval_fn
-        self.grad_clip = grad_clip
-        self.obs = obs
         self.manager = CheckpointManager(checkpoint_dir, keep_last=keep_last)
         self.checkpoint_every = int(checkpoint_every)
         self.max_recoveries = int(max_recoveries)
@@ -213,258 +314,55 @@ class ResilientTrainer:
         if rewarmup_iters is None:
             rewarmup_iters = int(getattr(train_iter, "steps_per_epoch", 1) or 1)
         self.rewarmup_iters = int(rewarmup_iters)
-        self.amp = bool(amp)
-        if self.amp and loss_scaler is None:
-            loss_scaler = DynamicLossScaler()
-        if self.amp:
-            optimizer.use_master_weights()
-        self.loss_scaler = loss_scaler
         self.ema = ema
         self.fault_injector = fault_injector
-        if metrics_every < 0:
-            raise ValueError("metrics_every must be >= 0")
-        self.metrics_every = int(metrics_every)
         if health is None and metrics_every > 0:
             health = HealthMonitor(default_training_rules())
         self.health = health
         self.recoveries = 0
         self.faults_detected = 0
 
-    # -- checkpoint plumbing ------------------------------------------------
+    # -- policy points --------------------------------------------------------
 
-    def _data_rng(self):
-        return getattr(self.train_iter, "rng", None)
-
-    def _save(self, iteration: int, epoch: int) -> None:
-        extra = {
-            "epoch": float(epoch),
+    def _state(self) -> dict[str, float]:
+        return {
             "recoveries": float(self.recoveries),
             "faults_detected": float(self.faults_detected),
-            **self.envelope.state(),
+            **super()._state(),
         }
-        self.manager.save(
-            self.model,
-            self.optimizer,
-            iteration,
-            loss_scaler=self.loss_scaler,
-            ema=self.ema,
-            rng=self._data_rng(),
-            extra=extra,
-        )
 
-    def _restore_latest(self, restore_policy: bool) -> tuple[int, int] | None:
-        """Load the newest good checkpoint; returns (iteration, epoch).
-
-        ``restore_policy`` additionally restores the recovery envelope and
-        fault counters — wanted on process resume, *not* on rollback
-        (rollback keeps the in-memory counters and then backs off
-        further).
-        """
-        loaded = self.manager.load_latest(
-            self.model,
-            self.optimizer,
-            loss_scaler=self.loss_scaler,
-            ema=self.ema,
-            rng=self._data_rng(),
-        )
-        if loaded is None:
-            return None
-        iteration, path = loaded
-        extra = read_checkpoint_extra(path)
-        if restore_policy:
-            self.envelope.load_state(extra)
-            self.recoveries = int(extra.get("recoveries", 0))
-            self.faults_detected = int(extra.get("faults_detected", 0))
-        return iteration, int(extra.get("epoch", 0))
-
-    # -- fault bookkeeping --------------------------------------------------
+    def _load_state(self, extra: dict[str, float]) -> None:
+        super()._load_state(extra)
+        self.recoveries = int(extra.get("recoveries", 0))
+        self.faults_detected = int(extra.get("faults_detected", 0))
 
     def _count(self, name: str) -> None:
         if self.obs is not None and self.obs.metrics is not None:
             self.obs.metrics.counter(name).inc()
 
-    # -- the loop -----------------------------------------------------------
+    def _after_step(self, iteration: int) -> None:
+        if self.ema is not None:
+            self.ema.update()
 
-    def run(self, epochs: int, log_every: int = 1, resume: bool = False) -> TrainResult:
-        obs = self.obs
-        if obs is not None and obs.tracer is not None:
-            with obs.span("resilient_train"):
-                return self._run(epochs, log_every, resume)
-        return self._run(epochs, log_every, resume)
+    def _fault(self) -> tuple[int, int] | None:
+        """Roll back to the last good checkpoint and back off the peak LR."""
+        self.faults_detected += 1
+        self._count("resilience/faults_detected")
+        if self.recoveries >= self.max_recoveries:
+            return None
+        with self._span("recover"):
+            restored = self._restore(resume=False)
+        if restored is None:  # pragma: no cover - the baseline save precludes it
+            raise RuntimeError("no checkpoint available to roll back to")
+        self.recoveries += 1
+        self._count("resilience/recoveries")
+        self.schedule.back_off(
+            self.lr_backoff, at_iteration=restored[0], rewarmup_steps=self.rewarmup_iters
+        )
+        return restored
 
-    def _sample_health(self, mreg, iteration: int) -> bool:
-        """Sample the registry, run the monitor; True on a critical event."""
-        sample = mreg.sample(step=iteration)
-        if self.health is None:
-            return False
-        return any(ev.critical for ev in self.health.observe(sample))
-
-    def _run(self, epochs: int, log_every: int, resume: bool) -> TrainResult:
-        obs = self.obs
-        tracer = obs.tracer if obs is not None else None
-        mreg = obs.metrics if obs is not None else None
-        sample_every = self.metrics_every if mreg is not None else 0
-        log = RunLog()
-        result = TrainResult(log=log)
-
-        iteration = 0
-        epoch = 0
-        if resume:
-            restored = self._restore_latest(restore_policy=True)
-            if restored is not None:
-                iteration, epoch = restored
-        if not resume or self.manager.latest() is None:
-            # the baseline checkpoint: an epoch-0 fault needs a rollback target
-            self._save(iteration, epoch)
-
-        result.epochs_completed = epoch
-        prev_epoch_batches: int | None = None
-        while epoch < epochs:
-            faulted_at: int | None = None
-            n_batches = 0
-            for batch in self.train_iter:
-                n_batches += 1
-                lr = self.envelope(iteration)
-                self.optimizer.zero_grad()
-                norm: float | None = None
-                if self.gradient_fn is not None:
-                    if tracer is None:
-                        loss_val = float(self.gradient_fn(batch))
-                    else:
-                        with obs.span("gradient"):
-                            loss_val = float(self.gradient_fn(batch))
-                else:
-                    if self.amp:
-                        with autocast():
-                            if tracer is None:
-                                loss = self.loss_fn(batch)
-                            else:
-                                with obs.span("forward"):
-                                    loss = self.loss_fn(batch)
-                    elif tracer is None:
-                        loss = self.loss_fn(batch)
-                    else:
-                        with obs.span("forward"):
-                            loss = self.loss_fn(batch)
-                    loss_val = float(loss.data)
-                if self.fault_injector is not None:
-                    loss_val = self.fault_injector(iteration, loss_val)
-                if not math.isfinite(loss_val):
-                    if sample_every:
-                        # force-sample so the nonfinite-loss rule raises a
-                        # structured HealthEvent on the iteration being
-                        # rolled back, with the bad value in the series
-                        mreg.gauge("train/loss").set(loss_val)
-                        self._sample_health(mreg, iteration)
-                    faulted_at = iteration
-                    break
-                if self.gradient_fn is None:
-                    scaler = self.loss_scaler
-                    backprop = loss if scaler is None else scaler.scaled(loss)
-                    if tracer is None:
-                        backprop.backward()
-                    else:
-                        with obs.span("backward"):
-                            backprop.backward()
-                    if self.amp:
-                        # emulated fp16 gradient storage: genuine overflow
-                        # to inf is the signal the scaler skips on
-                        with np.errstate(over="ignore"):
-                            for _, p in self.optimizer.params:
-                                if p.grad is not None:
-                                    p.grad = p.grad.astype(np.float16)
-                    if scaler is not None:
-                        params = [p for _, p in self.optimizer.params]
-                        if not scaler.unscale_and_check(params):
-                            # overflow: skip the step, scale backed off —
-                            # not a divergence, the schedule marches on
-                            iteration += 1
-                            continue
-                if self.grad_clip is not None:
-                    params = [p for _, p in self.optimizer.params]
-                    norm = clip_grad_norm(params, self.grad_clip)
-                if tracer is None:
-                    self.optimizer.step(lr=lr)
-                else:
-                    with obs.span("step"):
-                        self.optimizer.step(lr=lr)
-                if self.ema is not None:
-                    self.ema.update()
-                if mreg is not None:
-                    mreg.counter("train/iterations").inc()
-                    mreg.gauge("train/loss").set(loss_val)
-                    mreg.gauge("train/lr").set(lr)
-                    if norm is not None:
-                        mreg.histogram(
-                            "train/grad_norm", GRAD_NORM_BUCKETS
-                        ).observe(norm)
-                    if sample_every and (iteration + 1) % sample_every == 0:
-                        if self._sample_health(mreg, iteration):
-                            # a critical health rule (grad-norm blow-up,
-                            # trust-ratio collapse, ...) is a fault even
-                            # though the loss itself still looks finite
-                            faulted_at = iteration
-                            break
-                if iteration % log_every == 0:
-                    _record_point(log, iteration, loss_val, lr, norm)
-                iteration += 1
-
-            if faulted_at is not None:
-                _record_point(log, faulted_at, float("nan"), self.envelope(faulted_at), None)
-                self.faults_detected += 1
-                self._count("resilience/faults_detected")
-                if self.recoveries >= self.max_recoveries:
-                    result.diverged = True
-                    result.epochs_completed = epoch
-                    result.final_metrics["diverged"] = 1.0
-                    break
-                iteration, epoch = self._rollback()
-                prev_epoch_batches = None
-                continue
-
-            if n_batches == 0 and prev_epoch_batches:
-                raise ValueError(
-                    f"train_iter yielded no batches in epoch {epoch} after "
-                    f"{prev_epoch_batches} in the previous one — it is a "
-                    "one-shot iterator (e.g. a generator); pass a re-iterable "
-                    "like BatchIterator"
-                )
-            prev_epoch_batches = n_batches
-            epoch += 1
-            result.epochs_completed = epoch
-            if self.eval_fn is not None:
-                if tracer is None:
-                    metrics = self.eval_fn()
-                else:
-                    with obs.span("eval"):
-                        metrics = self.eval_fn()
-                for name, value in metrics.items():
-                    log.record(f"eval_{name}", epoch - 1, float(value))
-                result.final_metrics = dict(metrics)
-            if epoch % self.checkpoint_every == 0 or epoch == epochs:
-                self._save(iteration, epoch)
-
-        result.final_metrics.setdefault("diverged", 0.0)
+    def _finish(self, result: TrainResult, iteration: int) -> None:
         result.final_metrics["recoveries"] = float(self.recoveries)
         result.final_metrics["faults_detected"] = float(self.faults_detected)
         if self.health is not None:
             result.final_metrics["health_events"] = float(len(self.health.events))
-        return result
-
-    def _rollback(self) -> tuple[int, int]:
-        """Restore the last good checkpoint and back off the peak LR."""
-        obs = self.obs
-        if obs is not None and obs.tracer is not None:
-            with obs.span("recover"):
-                restored = self._restore_latest(restore_policy=False)
-        else:
-            restored = self._restore_latest(restore_policy=False)
-        if restored is None:  # pragma: no cover - the baseline save precludes it
-            raise RuntimeError("no checkpoint available to roll back to")
-        iteration, epoch = restored
-        self.recoveries += 1
-        self._count("resilience/recoveries")
-        self.envelope.back_off(
-            self.lr_backoff, at_iteration=iteration, rewarmup_steps=self.rewarmup_iters
-        )
-        return iteration, epoch

@@ -1,27 +1,48 @@
-"""The generic training loop.
+"""The training loop — the only one in the repo.
 
-All five applications train through this one loop, which enforces the
-paper's experimental protocol:
+Every trainer trains through :class:`Trainer`'s single step, which
+enforces the paper's experimental protocol:
 
 * the learning rate is read from the schedule at every iteration (so
   warmup behaves identically across solvers),
 * optional global-norm gradient clipping sits between backward and step,
-* divergence (NaN/inf loss) is detected and recorded rather than crashing
-  — the comprehensive-tuning figures *need* diverged runs as data points,
+* divergence (a NaN/inf loss or eval metric) is detected and recorded
+  rather than crashing — the comprehensive-tuning figures *need* diverged
+  runs as data points,
 * per-iteration loss/lr and per-epoch eval metrics land in a
   :class:`~repro.utils.log.RunLog` for the figure drivers.
+
+The step is: zero_grad → forward (under autocast when amp is on) → fault
+check → scaled backward → fp16 gradient storage → unscale-and-check →
+clip → optimizer step → record.  An amp overflow skips only the update;
+the step is still logged and counted.
+
+Around the step, the epoch loop has six policy points.  The plain
+trainer's choice is listed first; the other trainers
+(:class:`~repro.train.resilience.ResilientTrainer`,
+:class:`~repro.adapt.AdaptiveBatchTrainer`, the milestone arm of
+:mod:`repro.experiments.extension_growbatch`) are this loop with some of
+them overridden, and have no loop of their own:
+
+* **run start** — iteration 0; or a resume / baseline checkpoint;
+* **epoch start** — keep the loader; or change the batch size;
+* **after step** — nothing; or an EMA update / noise-scale feed;
+* **fault** (non-finite loss or eval metric, critical health event) —
+  stop, recorded as diverged; or roll back to the last checkpoint;
+* **epoch end** — nothing; or a checkpoint;
+* **finish** — ``diverged`` in the final metrics; plus the policy's counts.
 
 Observability: pass an :class:`repro.obs.Obs` to get span timing around
 forward/backward/clip/step (plus eval) and structured metrics (loss, lr,
 grad-norm histogram) without touching the protocol.  With ``obs=None``
 the loop is the uninstrumented seed path — the guards are plain ``None``
-checks hoisted out of the hot spots, and no span or metric object is
-allocated per iteration.
+checks, and no span or metric object is allocated per iteration.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -38,6 +59,8 @@ from repro.schedules.base import Schedule
 from repro.tensor.amp import amp_enabled, autocast
 from repro.tensor.tensor import Tensor
 from repro.utils.log import RunLog
+
+_NO_SPAN = nullcontext()  # stateless, so one instance serves every phase
 
 
 @dataclass
@@ -85,9 +108,13 @@ class Trainer:
     train_iter:
         Re-iterable over batches with a ``steps_per_epoch`` attribute
         (:class:`~repro.data.loader.BatchIterator` or the padded variant).
+        A one-shot iterator (a generator) raises ``ValueError`` when its
+        second epoch yields nothing.
     eval_fn:
         Optional ``() -> dict[str, float]`` run after every epoch; entries
-        are recorded as series ``eval_<name>`` keyed by epoch.
+        are recorded as series ``eval_<name>`` keyed by epoch.  A
+        non-finite entry is a fault, recorded as NaN: the run stops as
+        diverged, like on a non-finite loss.
     grad_clip:
         Optional global-norm clip threshold.
     callbacks:
@@ -179,24 +206,37 @@ class Trainer:
         if self.amp:
             optimizer.use_master_weights()
 
-    def run(self, epochs: int, log_every: int = 1) -> TrainResult:
-        obs = self.obs
-        if obs is not None and obs.tracer is not None:
-            with obs.span("train"):
-                return self._run(epochs, log_every)
-        return self._run(epochs, log_every)
+    # policy state that the other trainers set; the plain loop has none
+    fault_injector: Callable[[int, float], float] | None = None
+    health = None  # a HealthMonitor: a critical event on a sample is a fault
+    _run_span = "train"
 
-    def _run(self, epochs: int, log_every: int) -> TrainResult:
-        # every exit path (normal end, early stop, divergence) fires the
-        # callbacks' on_train_end hook exactly once
-        result = self._run_loop(epochs, log_every)
-        for callback in self.callbacks:
-            callback.on_train_end(result)
+    def run(self, epochs: int, log_every: int = 1) -> TrainResult:
+        return self._run(epochs, log_every, resume=False)
+
+    def _span(self, name: str):
+        """The named phase span when a tracer is attached, else a no-op."""
+        obs = self.obs
+        return _NO_SPAN if obs is None or obs.tracer is None else obs.span(name)
+
+    def _run(self, epochs: int, log_every: int, resume: bool) -> TrainResult:
+        with self._span(self._run_span):
+            result = self._loop(epochs, log_every, resume)
+            # every exit path (normal end, early stop, divergence) fires the
+            # callbacks' on_train_end hook exactly once
+            for callback in self.callbacks:
+                callback.on_train_end(result)
         return result
 
-    def _run_loop(self, epochs: int, log_every: int) -> TrainResult:
+    def _sample(self, mreg, iteration: int) -> bool:
+        """Sample the registry; True when the health monitor calls it a fault."""
+        sample = mreg.sample(step=iteration)
+        return self.health is not None and any(
+            event.critical for event in self.health.observe(sample)
+        )
+
+    def _loop(self, epochs: int, log_every: int, resume: bool) -> TrainResult:
         obs = self.obs
-        tracer = obs.tracer if obs is not None else None
         mreg = obs.metrics if obs is not None else None
         if (
             mreg is not None
@@ -205,103 +245,70 @@ class Trainer:
         ):
             # route compile/* counters into this run's registry
             self.loss_fn.metrics = mreg
-        # hoisted so the disabled path never even tests the flag's truthiness
-        # against an allocation — one int compare per iteration, nothing more
+        # hoisted so the disabled path costs one int compare per iteration
         sample_every = self.metrics_every if mreg is not None else 0
-        log = RunLog()
-        result = TrainResult(log=log)
-        iteration = 0
-        last_logged = -1
-        loss_val: float = math.nan
-        lr: float = math.nan
-        norm: float | None = None
-
-        def flush_last_point() -> None:
-            # the final iteration's sample must land in the log even when
-            # log_every skipped it, or figure series end one point short
-            if iteration > 0 and last_logged != iteration - 1:
-                _record_point(log, iteration - 1, loss_val, lr, norm)
-
+        span = self._span
+        optimizer = self.optimizer
+        params = [p for _, p in optimizer.params]
         amp_on = self.amp
         scaler = self.loss_scaler
-        for epoch in range(epochs):
+        log = RunLog()
+        result = TrainResult(log=log)
+        # the newest step's point while log_every skipped it: the final
+        # iteration must land in the log, or figure series end one short
+        pending: tuple | None = None
+
+        iteration, epoch = self._begin(resume)
+        result.epochs_completed = epoch
+        prev_batches: int | None = None
+        while epoch < epochs:
+            self._epoch_start(epoch, iteration)
+            faulted = False
+            n_batches = 0
             for batch in self.train_iter:
+                n_batches += 1
                 lr = self.schedule(iteration)
-                self.optimizer.zero_grad()
-                if amp_on:
-                    with autocast():
-                        if tracer is None:
-                            loss = self.loss_fn(batch)
-                        else:
-                            with obs.span("forward"):
-                                loss = self.loss_fn(batch)
-                elif tracer is None:
+                optimizer.zero_grad()
+                with autocast() if amp_on else _NO_SPAN, span("forward"):
                     loss = self.loss_fn(batch)
-                else:
-                    with obs.span("forward"):
-                        loss = self.loss_fn(batch)
                 loss_val = float(loss.data)
+                if self.fault_injector is not None:
+                    loss_val = self.fault_injector(iteration, loss_val)
                 if not math.isfinite(loss_val):
-                    result.diverged = True
+                    # the observed value is the data point, inf or nan
                     _record_point(log, iteration, loss_val, lr, None)
+                    pending = None
                     if mreg is not None:
-                        # the divergence point must land in the time series
+                        # the fault must land in the time series too
                         mreg.gauge("train/loss").set(loss_val)
                         if sample_every:
-                            mreg.sample(step=iteration)
-                    result.epochs_completed = epoch
-                    result.final_metrics["diverged"] = 1.0
-                    return result
+                            self._sample(mreg, iteration)
+                    faulted = True
+                    break
                 # the scaler only applies to a real graph loss: cluster
                 # adapters (repro.parallel) install pre-averaged gradients
                 # and return a no-op-backward stub that cannot be scaled
                 use_scaler = scaler is not None and isinstance(loss, Tensor)
-                backprop = scaler.scaled(loss) if use_scaler else loss
-                if tracer is None:
-                    backprop.backward()
-                else:
-                    with obs.span("backward"):
-                        backprop.backward()
+                with span("backward"):
+                    (scaler.scaled(loss) if use_scaler else loss).backward()
                 if amp_on and use_scaler:
                     # emulated fp16 gradient storage: overflow to inf above
                     # 65504 is genuine here — it is what the scaler skips on
                     with np.errstate(over="ignore"):
-                        for _, p in self.optimizer.params:
+                        for p in params:
                             if p.grad is not None:
                                 p.grad = p.grad.astype(np.float16)
-                if use_scaler:
-                    params = [p for _, p in self.optimizer.params]
-                    if not scaler.unscale_and_check(params):
-                        # overflow: skip the step (never clip), back off the
-                        # scale, and let the schedule march on
-                        norm = None
-                        if mreg is not None:
-                            mreg.counter("train/iterations").inc()
-                            mreg.gauge("train/loss").set(loss_val)
-                            mreg.gauge("train/lr").set(lr)
-                            if sample_every and (iteration + 1) % sample_every == 0:
-                                mreg.sample(step=iteration)
-                        if iteration % log_every == 0:
-                            _record_point(log, iteration, loss_val, lr, None)
-                            last_logged = iteration
-                        for callback in self.callbacks:
-                            callback.on_iteration(iteration, loss_val, lr)
-                        iteration += 1
-                        continue
-                if self.grad_clip is not None:
-                    params = [p for _, p in self.optimizer.params]
-                    if tracer is None:
-                        norm = clip_grad_norm(params, self.grad_clip)
-                    else:
-                        with obs.span("clip"):
+                norm: float | None = None
+                # an overflow skips the update (never clipped) and backs the
+                # scale off; the step is still logged and the schedule
+                # marches on
+                if not use_scaler or scaler.unscale_and_check(params):
+                    if self.grad_clip is not None:
+                        with span("clip"):
                             norm = clip_grad_norm(params, self.grad_clip)
-                else:
-                    norm = None
-                if tracer is None:
-                    self.optimizer.step(lr=lr)
-                else:
-                    with obs.span("step"):
-                        self.optimizer.step(lr=lr)
+                    with span("step"):
+                        optimizer.step(lr=lr)
+                    self._after_step(iteration)
                 if mreg is not None:
                     mreg.counter("train/iterations").inc()
                     mreg.gauge("train/loss").set(loss_val)
@@ -310,37 +317,90 @@ class Trainer:
                         mreg.histogram(
                             "train/grad_norm", GRAD_NORM_BUCKETS
                         ).observe(norm)
-                    if sample_every and (iteration + 1) % sample_every == 0:
-                        mreg.sample(step=iteration)
+                    if (
+                        sample_every
+                        and (iteration + 1) % sample_every == 0
+                        and self._sample(mreg, iteration)
+                    ):
+                        # a critical health rule (grad-norm blow-up,
+                        # trust-ratio collapse, ...) is a fault even though
+                        # the loss itself still looks finite
+                        _record_point(log, iteration, loss_val, lr, norm)
+                        pending = None
+                        faulted = True
+                        break
                 if iteration % log_every == 0:
                     _record_point(log, iteration, loss_val, lr, norm)
-                    last_logged = iteration
+                    pending = None
+                else:
+                    pending = (iteration, loss_val, lr, norm)
                 for callback in self.callbacks:
                     callback.on_iteration(iteration, loss_val, lr)
                 iteration += 1
-            result.epochs_completed = epoch + 1
+
             metrics: dict[str, float] = {}
-            if self.eval_fn is not None:
-                if tracer is None:
-                    metrics = self.eval_fn()
-                else:
-                    with obs.span("eval"):
+            if not faulted:
+                if n_batches == 0 and prev_batches:
+                    raise ValueError(
+                        f"train_iter yielded no batches in epoch {epoch} after "
+                        f"{prev_batches} in the previous one — it is a "
+                        "one-shot iterator (e.g. a generator); pass a "
+                        "re-iterable like BatchIterator"
+                    )
+                prev_batches = n_batches
+                epoch += 1
+                result.epochs_completed = epoch
+                if self.eval_fn is not None:
+                    with span("eval"):
                         metrics = self.eval_fn()
-                for name, value in metrics.items():
-                    if not math.isfinite(value):
-                        result.diverged = True
-                        value = float("nan")
-                    log.record(f"eval_{name}", epoch, value)
-                result.final_metrics = dict(metrics)
-                if result.diverged:
-                    flush_last_point()
-                    return result
-            stop = False
-            for callback in self.callbacks:
-                stop = callback.on_epoch_end(epoch, metrics) or stop
-            if stop:
+                    for name, value in metrics.items():
+                        if not math.isfinite(value):
+                            faulted = True
+                            value = float("nan")
+                        log.record(f"eval_{name}", epoch - 1, value)
+                    result.final_metrics = dict(metrics)
+            if faulted:
+                restored = self._fault()
+                if restored is None:
+                    result.diverged = True
+                    result.final_metrics["diverged"] = 1.0
+                    break
+                iteration, epoch = restored
+                result.epochs_completed = epoch
+                prev_batches = None
+                continue
+
+            self._epoch_end(log, epoch, iteration, epochs)
+            stops = [cb.on_epoch_end(epoch - 1, metrics) for cb in self.callbacks]
+            if any(stops):
                 result.stopped_early = True
                 break
-        flush_last_point()
+
+        if pending is not None:
+            _record_point(log, *pending)
         result.final_metrics.setdefault("diverged", 0.0)
+        self._finish(result, iteration)
         return result
+
+    # -- policy points: the other trainers override these, nothing else ------
+
+    def _begin(self, resume: bool) -> tuple[int, int]:
+        """Run start: the ``(iteration, epoch)`` to train from."""
+        return 0, 0
+
+    def _epoch_start(self, epoch: int, iteration: int) -> None:
+        """Epoch start: swap the loader, e.g. for a new batch size."""
+
+    def _after_step(self, iteration: int) -> None:
+        """After each applied optimizer step (not after an amp skip)."""
+
+    def _fault(self) -> tuple[int, int] | None:
+        """A fault: ``None`` stops the run as diverged; an
+        ``(iteration, epoch)`` resumes the loop from there."""
+        return None
+
+    def _epoch_end(self, log: RunLog, epoch: int, iteration: int, epochs: int) -> None:
+        """After epoch ``epoch`` (1-based) and its eval passed."""
+
+    def _finish(self, result: TrainResult, iteration: int) -> None:
+        """Add the policy's counts to ``result.final_metrics``."""

@@ -1,8 +1,7 @@
-"""Trainer callbacks: early stopping, best tracking, checkpoint-every-N."""
+"""Trainer callbacks: early stopping, best tracking, lambda hooks."""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.data import ArrayDataset, BatchIterator
@@ -12,7 +11,6 @@ from repro.schedules import ConstantLR
 from repro.tensor import Tensor, cross_entropy
 from repro.train import (
     BestMetric,
-    CheckpointEveryN,
     EarlyStopping,
     LambdaCallback,
     Trainer,
@@ -99,71 +97,6 @@ class TestEarlyStopping:
     def test_validation(self):
         with pytest.raises(ValueError):
             EarlyStopping("m", patience=0)
-
-
-class TestCheckpointEveryN:
-    def test_saves_on_schedule(self, rng, tmp_path):
-        model, loss_fn, it, eval_fn = make_setup(rng, [1, 2, 3, 4])
-        opt = SGD(model, lr=0.1)
-        cb = CheckpointEveryN(tmp_path / "ckpts", model, opt, every=2)
-        Trainer(loss_fn, opt, ConstantLR(0.1), it,
-                eval_fn=eval_fn, callbacks=[cb]).run(4)
-        assert len(cb.saved) == 2  # after epochs 1 and 3
-        assert all(p.exists() for p in cb.saved)
-
-    def test_checkpoint_restores(self, rng, tmp_path):
-        from repro.utils import load_checkpoint
-
-        model, loss_fn, it, eval_fn = make_setup(rng, [1, 2])
-        opt = SGD(model, lr=0.1)
-        cb = CheckpointEveryN(tmp_path, model, opt, every=1)
-        Trainer(loss_fn, opt, ConstantLR(0.1), it,
-                eval_fn=eval_fn, callbacks=[cb]).run(2)
-        other = Linear(4, 3, rng=9)
-        load_checkpoint(cb.saved[-1], other)
-        assert np.allclose(other.weight.data, model.weight.data)
-
-    def test_validation(self, rng, tmp_path):
-        model, *_ = make_setup(rng)
-        with pytest.raises(ValueError):
-            CheckpointEveryN(tmp_path, model, every=0)
-
-    def test_always_saves_final_epoch(self, rng, tmp_path):
-        """epochs=10, every=3 saves after epochs 2, 5, 8 *and* 9."""
-        model, loss_fn, it, eval_fn = make_setup(rng, list(range(10)))
-        opt = SGD(model, lr=0.1)
-        cb = CheckpointEveryN(tmp_path, model, opt, every=3)
-        Trainer(loss_fn, opt, ConstantLR(0.1), it,
-                eval_fn=eval_fn, callbacks=[cb]).run(10)
-        assert [p.name for p in cb.saved] == [
-            "epoch_0002.npz", "epoch_0005.npz", "epoch_0008.npz",
-            "epoch_0009.npz",
-        ]
-
-    def test_final_save_fires_on_early_stop(self, rng, tmp_path):
-        """An early-stopped run still checkpoints its last epoch."""
-        model, loss_fn, it, eval_fn = make_setup(rng, [5, 4, 3, 2, 1])
-        opt = SGD(model, lr=0.1)
-        cb = CheckpointEveryN(tmp_path, model, opt, every=10)
-        stopper = EarlyStopping("m", mode="max", patience=2)
-        result = Trainer(loss_fn, opt, ConstantLR(0.1), it,
-                         eval_fn=eval_fn, callbacks=[stopper, cb]).run(5)
-        assert result.stopped_early
-        assert len(cb.saved) == 1  # the schedule alone would never have saved
-        assert cb.saved[0].exists()
-
-    def test_keep_last_prunes_old_saves(self, rng, tmp_path):
-        model, loss_fn, it, eval_fn = make_setup(rng, list(range(6)))
-        opt = SGD(model, lr=0.1)
-        cb = CheckpointEveryN(tmp_path, model, opt, every=1, keep_last=2)
-        Trainer(loss_fn, opt, ConstantLR(0.1), it,
-                eval_fn=eval_fn, callbacks=[cb]).run(6)
-        assert len(cb.saved) == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "epoch_0004.npz", "epoch_0005.npz",
-        ]
-        with pytest.raises(ValueError):
-            CheckpointEveryN(tmp_path, model, keep_last=0)
 
 
 class TestLambdaCallback:

@@ -25,7 +25,7 @@ gate requires >= 200 with zero failures.
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.compile import CompiledStep
 from repro.tensor import Tensor, gradcheck, maximum, minimum
@@ -119,6 +119,9 @@ _unary_names = st.sampled_from(sorted(_UNARY))
     st.lists(_unary_names, min_size=1, max_size=6),
     _seeds,
 )
+# the loss is (a - b)**16 ~ 5e6: gradcheck's finite differences carry
+# ~1e-3 of rounding noise here, which its noise floor must admit
+@example(shape=(3,), combine="sub", chain=["square"] * 4, seed=3)
 def test_elementwise_chains(shape, combine, chain, seed):
     """Random unary chains over a binary root — the fusion sweet spot."""
 

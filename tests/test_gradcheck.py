@@ -86,6 +86,32 @@ class TestTolerances:
                 eps=1e-2, atol=1e-14, rtol=0.0,
             )
 
+    def test_noise_floor_admits_rounding_noise_on_large_f(self):
+        """x**16 near |x| = 3 is ~4e7: central differences at eps=1e-6
+        carry ~1e-2 of rounding noise, far above atol=1e-4 on the
+        small-gradient entry; the floor admits it and is reported."""
+        x = Tensor(np.array([3.0, -2.5, 0.3]), requires_grad=True)
+        report = gradcheck(lambda a: (a**16).sum(), [x], atol=1e-4)
+        f = float((x.data**16).sum())
+        assert report.noise_floor == pytest.approx(
+            np.finfo(np.float64).eps * f / 1e-6
+        )
+        assert report.noise_floor > 1e-4
+
+    def test_noise_floor_still_rejects_a_slightly_wrong_vjp(self):
+        """The floor admits rounding noise, not error: on the same
+        large-|f| function a vjp 0.1% off is rejected."""
+
+        def bad(x):
+            return Tensor._make(
+                (x.data**16).sum(), (x,),
+                lambda g: (1.001 * 16.0 * g * x.data**15,), "bad_pow16",
+            )
+
+        x = Tensor(np.array([3.0, -2.5, 0.3]), requires_grad=True)
+        with pytest.raises(AssertionError, match="noise floor"):
+            gradcheck(bad, [x], atol=1e-4)
+
     def test_non_scalar_output_rejected(self, rng):
         x = Tensor(rng.standard_normal(3), requires_grad=True)
         with pytest.raises(ValueError, match="scalar"):
