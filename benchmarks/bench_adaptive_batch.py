@@ -23,14 +23,13 @@ root; ``REPRO_BENCH_SMOKE=1`` runs shorter budgets and skips the write.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import shutil
 import tempfile
 
 import numpy as np
-from conftest import better, save_result
+from conftest import better, merge_bench_json, save_result
 
 from repro.adapt import OnlineNoiseScale, probe_batch_fn
 from repro.analysis.noise_scale import estimate_noise_scale
@@ -50,18 +49,6 @@ NOISE_EVERY = 8
 DEVICE = DeviceModel(t_fixed=256.0, t_sample=1.0)
 
 BENCH_JSON = pathlib.Path(__file__).resolve().parent.parent / "BENCH_adaptive.json"
-
-
-def _merge_bench_json(update: dict) -> None:
-    """Fold ``update`` into ``BENCH_adaptive.json``, keeping the rest."""
-    existing: dict = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            existing = {}
-    existing.update(update)
-    BENCH_JSON.write_text(json.dumps(existing, indent=2) + "\n")
 
 
 def _epoch_batches(trainer, epochs: int) -> list[int]:
@@ -129,7 +116,8 @@ def test_adaptive_beats_fixed_batch(benchmark):
     )
     if SMOKE:
         return
-    _merge_bench_json(
+    merge_bench_json(
+        BENCH_JSON,
         {
             "steps": {
                 "workload": "mnist-smoke",
@@ -214,7 +202,8 @@ def test_online_estimator_matches_offline(benchmark):
         )
     if SMOKE:
         return
-    _merge_bench_json(
+    merge_bench_json(
+        BENCH_JSON,
         {
             "estimator": {
                 "pairs": PROBE_PAIRS,
@@ -292,7 +281,8 @@ def test_resume_reproduces_batch_trajectory(benchmark):
     )
     if SMOKE:
         return
-    _merge_bench_json(
+    merge_bench_json(
+        BENCH_JSON,
         {
             "resume": {
                 "epochs": epochs,

@@ -32,12 +32,11 @@ full-size runs.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 
 import numpy as np
-from conftest import save_result
+from conftest import merge_bench_json, save_result
 
 from repro.experiments import build_workload
 from repro.models import MnistLSTMClassifier
@@ -68,18 +67,6 @@ BENCH_JSON = (
     pathlib.Path(__file__).resolve().parent.parent
     / "BENCH_mixed_precision.json"
 )
-
-
-def _merge_bench_json(update: dict) -> None:
-    """Fold ``update`` into ``BENCH_mixed_precision.json``, keeping the rest."""
-    existing: dict = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            existing = {}
-    existing.update(update)
-    BENCH_JSON.write_text(json.dumps(existing, indent=2) + "\n")
 
 
 def _make_model():
@@ -211,7 +198,8 @@ def test_fp16_wire_compression(benchmark):
     )
     if SMOKE:
         return
-    _merge_bench_json(
+    merge_bench_json(
+        BENCH_JSON,
         {
             "wire": {
                 "workers": WORKERS,
@@ -283,7 +271,8 @@ def test_amp_training_parity(benchmark):
     )
     if SMOKE:
         return
-    _merge_bench_json(
+    merge_bench_json(
+        BENCH_JSON,
         {
             "amp": {
                 "workload": "mnist-smoke",

@@ -55,13 +55,12 @@ shared-runner timing.
 
 from __future__ import annotations
 
-import json
 import os
 import pathlib
 import time
 
 import numpy as np
-from conftest import save_result
+from conftest import merge_bench_json, save_result
 
 from repro.models import MnistLSTMClassifier
 from repro.serve import (
@@ -103,22 +102,6 @@ INT8_BATCH = 256  # serving-scale batch: big enough that BLAS dominates
 INT8_ROUNDS = 3 if SMOKE else 20
 INT8_PAYLOAD_SEED = 1
 INT8_TARGET_SPEEDUP = 1.05  # int8 must win, with margin over timer noise
-
-
-def _merge_bench_json(update: dict) -> None:
-    """Fold ``update`` into ``BENCH_serving.json``, keeping other sections.
-
-    Both benches write here; a plain ``write_text`` from either would
-    clobber the other's numbers.
-    """
-    existing: dict = {}
-    if BENCH_JSON.exists():
-        try:
-            existing = json.loads(BENCH_JSON.read_text())
-        except json.JSONDecodeError:
-            existing = {}
-    existing.update(update)
-    BENCH_JSON.write_text(json.dumps(existing, indent=2) + "\n")
 
 
 def _payload(rng: np.random.Generator, i: int):
@@ -199,7 +182,8 @@ def test_dynamic_batching_throughput(benchmark):
     assert dyn.p95 <= p95_budget, (
         f"dynamic p95 {dyn.p95:.1f} ms blew the {p95_budget:.1f} ms budget"
     )
-    _merge_bench_json(
+    merge_bench_json(
+            BENCH_JSON,
             {
                 "bench": "serving",
                 "workload": "mnist-lstm",
@@ -306,7 +290,8 @@ def test_int8_quantized_serving(benchmark):
         f"int8 serving only {speedup:.2f}x float64 "
         f"(need >= {INT8_TARGET_SPEEDUP}x)"
     )
-    _merge_bench_json(
+    merge_bench_json(
+        BENCH_JSON,
         {
             "int8": {
                 "batch": INT8_BATCH,
@@ -472,7 +457,8 @@ def test_fleet_replica_scaling(benchmark, tmp_path):
         f"fleet only {scaling:.2f}x at {FLEET_COUNTS[-1]} replicas "
         f"(need >= {FLEET_TARGET}x)"
     )
-    _merge_bench_json(
+    merge_bench_json(
+        BENCH_JSON,
         {
             "fleet": {
                 "policy": "jsq",

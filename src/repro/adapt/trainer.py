@@ -79,8 +79,8 @@ class AdaptiveBatchTrainer(CheckpointedTrainer):
     The :class:`~repro.train.trainer.Trainer` loop with a batch change at
     each epoch start and a noise-scale feed after each step.  There is no
     rollback: a fault (non-finite loss or eval metric) ends the run as
-    diverged.  The engine is always eager and full precision — neither
-    ``REPRO_COMPILE`` nor ``REPRO_AMP`` reaches this trainer.
+    diverged.  It always trains in full precision: ``REPRO_AMP`` does not
+    reach this trainer.
 
     Parameters
     ----------
@@ -181,7 +181,6 @@ class AdaptiveBatchTrainer(CheckpointedTrainer):
             eval_fn=eval_fn,
             grad_clip=grad_clip,
             obs=obs,
-            compiled=False,
             amp=False,
         )
         self.model = model

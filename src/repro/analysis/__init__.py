@@ -6,11 +6,6 @@ from repro.analysis.lipschitz import (
     peak_iteration,
 )
 from repro.analysis.noise_scale import NoiseScaleEstimate, estimate_noise_scale
-from repro.analysis.hessian import (
-    PowerIterationResult,
-    hessian_vector_product,
-    top_hessian_eigenvalue,
-)
 
 __all__ = [
     "lipschitz_estimate",
@@ -18,7 +13,4 @@ __all__ = [
     "peak_iteration",
     "NoiseScaleEstimate",
     "estimate_noise_scale",
-    "PowerIterationResult",
-    "hessian_vector_product",
-    "top_hessian_eigenvalue",
 ]

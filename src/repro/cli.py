@@ -34,10 +34,7 @@ the run on the exact uninstrumented code path.
 Both commands also take ``--fused`` / ``--no-fused`` (docs/fused_kernels.md)
 to pick between the fused hot-path kernels and the reference engine; with
 neither flag the ``REPRO_FUSED`` environment setting (default: reference)
-applies.  ``--compile`` / ``--no-compile`` (docs/compile.md) likewise
-switch the trace-and-replay graph compiler, defaulting to the
-``REPRO_COMPILE`` environment setting; the two compose — ``--fused
---compile`` captures and replays the fused graph.
+applies.
 
 ``train`` accepts the data-parallel flags (docs/parallel.md): ``--workers P``
 shards every batch across ``P`` workers with gradients reduced through
@@ -60,11 +57,9 @@ online gradient noise scale (start at the base batch, grow toward the
 measured critical batch under the LEGW invariant), with ``--noise-every
 N`` setting the serial probe cadence, ``--target-ratio R`` the growth
 aggressiveness and ``--max-batch B`` the cap.  Adaptive training is
-incompatible with ``--compile`` (every batch-size change would force a
-graph recapture, thrashing the replay cache), with ``--amp``/
-``--fault-rate``, and with an explicit ``--batch`` (the loop owns the
-batch size); ``--workers`` composes — per-shard gradients then feed the
-estimator for free.
+incompatible with ``--amp``/``--fault-rate`` and with an explicit
+``--batch`` (the loop owns the batch size); ``--workers`` composes —
+per-shard gradients then feed the estimator for free.
 """
 
 from __future__ import annotations
@@ -80,7 +75,6 @@ from repro.experiments.registry import EXPERIMENTS
 from repro.obs import Obs
 from repro.parallel.allreduce import ALGORITHMS
 from repro.parallel.buckets import DEFAULT_BUCKET_MB
-from repro.compile.config import use_compiled
 from repro.tensor.amp import use_amp
 from repro.tensor.fused import use_fused
 from repro.utils.ascii_plot import line_chart
@@ -104,14 +98,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
              "setting, i.e. off)",
     )
     parser.add_argument(
-        "--compile", action=argparse.BooleanOptionalAction, default=None,
-        dest="compiled",
-        help="run training steps through the trace-and-replay graph "
-             "compiler (docs/compile.md); --no-compile forces eager "
-             "execution; default: the REPRO_COMPILE environment setting, "
-             "i.e. off",
-    )
-    parser.add_argument(
         "--amp", action=argparse.BooleanOptionalAction, default=None,
         help="train with emulated mixed precision: fp16 parameter "
              "storage, fp32 master weights and dynamic loss scaling "
@@ -123,8 +109,6 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 def _apply_engine_flags(args: argparse.Namespace) -> None:
     if getattr(args, "fused", None) is not None:
         use_fused(args.fused)
-    if getattr(args, "compiled", None) is not None:
-        use_compiled(args.compiled)
     if getattr(args, "amp", None) is not None:
         use_amp(args.amp)
 
@@ -505,15 +489,6 @@ def _cmd_train(args: argparse.Namespace) -> int:
             print(
                 "--adaptive-batch owns the batch size (starts at the "
                 "workload's base batch); drop --batch",
-                file=sys.stderr,
-            )
-            return 2
-        if args.compiled:
-            # every growth changes the batch shape, forcing a graph
-            # recapture — the replay cache would thrash, never amortising
-            print(
-                "--adaptive-batch is incompatible with --compile "
-                "(batch-shape changes force graph recapture thrash)",
                 file=sys.stderr,
             )
             return 2

@@ -8,7 +8,6 @@ substitution arguments).  Every generator is a pure function of its seed.
 
 from repro.data.dataset import ArrayDataset, train_test_split
 from repro.data.loader import BatchIterator, PaddedBatchIterator, steps_per_epoch
-from repro.data.contiguous import ContiguousLMIterator, stateful_perplexity
 from repro.data.vocab import Vocab, PAD, BOS, EOS
 from repro.data.synthetic_mnist import make_sequential_mnist
 from repro.data.synthetic_ptb import MarkovLanguageSource, make_ptb_corpus
@@ -21,8 +20,6 @@ __all__ = [
     "BatchIterator",
     "PaddedBatchIterator",
     "steps_per_epoch",
-    "ContiguousLMIterator",
-    "stateful_perplexity",
     "Vocab",
     "PAD",
     "BOS",

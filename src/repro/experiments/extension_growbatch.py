@@ -45,9 +45,8 @@ class _MilestoneTrainer(Trainer):
 
     At each epoch start the loader is rebuilt, with seed
     ``seed + 1 + epoch``, whenever ``grow`` changes the batch; the LR holds
-    at the base LR after the base warmup.  ``REPRO_COMPILE`` and
-    ``REPRO_AMP`` do not reach it: the arm always trains eager, in full
-    precision.
+    at the base LR after the base warmup.  ``REPRO_AMP`` does not reach
+    it: the arm always trains in full precision.
     """
 
     def __init__(self, wl, grow: GrowBatchSchedule, seed: int, model) -> None:
@@ -58,7 +57,6 @@ class _MilestoneTrainer(Trainer):
             GradualWarmup(ConstantLR(wl.base_lr), warmup),
             None,  # built by the first epoch start
             grad_clip=wl.grad_clip,
-            compiled=False,
             amp=False,
         )
         self.wl, self.grow, self.seed = wl, grow, seed

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.compile.recorder import record_side_effect, recording_active
 from repro.nn import init
 from repro.nn.module import Module, Parameter
 from repro.tensor.conv import avg_pool2d, conv2d, max_pool2d
@@ -66,21 +65,12 @@ class BatchNorm2d(Module):
             mu = x.mean(axis=(0, 2, 3), keepdims=True)
             var = ((x - mu) * (x - mu)).mean(axis=(0, 2, 3), keepdims=True)
             m = self.momentum
-
-            def _update_running() -> None:
-                # reads the (replay-refreshed) batch-stat buffers and the
-                # current running estimates — the same expression replayed
-                # is the same EMA step
-                self._buffer_running_mean = (
-                    m * self._buffer_running_mean + (1 - m) * mu.data.reshape(c)
-                )
-                self._buffer_running_var = (
-                    m * self._buffer_running_var + (1 - m) * var.data.reshape(c)
-                )
-
-            _update_running()
-            if recording_active():
-                record_side_effect(_update_running, deps=(mu, var))
+            self._buffer_running_mean = (
+                m * self._buffer_running_mean + (1 - m) * mu.data.reshape(c)
+            )
+            self._buffer_running_var = (
+                m * self._buffer_running_var + (1 - m) * var.data.reshape(c)
+            )
             x_hat = (x - mu) / (var + self.eps).sqrt()
         else:
             mu = Tensor(self._buffer_running_mean.reshape(1, c, 1, 1))

@@ -31,17 +31,7 @@ from dataclasses import dataclass
 from repro.tensor.tensor import Tensor
 from repro.utils.tables import Table
 
-__all__ = ["OpStat", "OpProfiler", "get_active"]
-
-# The most recently attached profiler (cleared on detach).  The compiled
-# replay path bypasses ``Tensor._make`` entirely, so it reports per-node
-# forward stats through this handle instead of the monkey-patch.
-_ACTIVE: "OpProfiler | None" = None
-
-
-def get_active() -> "OpProfiler | None":
-    """The currently attached profiler, if any."""
-    return _ACTIVE
+__all__ = ["OpStat", "OpProfiler"]
 
 
 @dataclass
@@ -87,7 +77,7 @@ class OpProfiler:
         original = self._saved_make.__func__
         profiler = self
 
-        def profiled_make(data, parents, vjp, op, replay=None):
+        def profiled_make(data, parents, vjp, op, view=False):
             now = time.perf_counter()
             stat = profiler.forward.get(op)
             if stat is None:
@@ -108,7 +98,7 @@ class OpProfiler:
                     bstat.seconds += time.perf_counter() - t0
                     bstat.elements += g.size
 
-            out = original(data, parents, timed_vjp, op, replay=replay)
+            out = original(data, parents, timed_vjp, op, view=view)
             if out._vjp is not None:
                 profiler.graph_nodes += 1
             profiler._mark = time.perf_counter()
@@ -116,8 +106,6 @@ class OpProfiler:
 
         Tensor._make = staticmethod(profiled_make)
         self._attached = True
-        global _ACTIVE
-        _ACTIVE = self
         self.mark()
         return self
 
@@ -128,9 +116,6 @@ class OpProfiler:
         Tensor._make = self._saved_make
         self._saved_make = None
         self._attached = False
-        global _ACTIVE
-        if _ACTIVE is self:
-            _ACTIVE = None
         return self
 
     @contextmanager
@@ -145,20 +130,6 @@ class OpProfiler:
     def mark(self) -> None:
         """Reset the forward-attribution reference point (phase boundary)."""
         self._mark = time.perf_counter()
-
-    def record_replay(self, label: str, seconds: float, elements: int) -> None:
-        """Credit one compiled-replay forward execution to ``label``.
-
-        Replayed nodes never pass through ``Tensor._make`` (that is the
-        point of replay), so :class:`repro.compile.ReplayPlan` reports them
-        here under their ``compiled_<op>`` labels.
-        """
-        stat = self.forward.get(label)
-        if stat is None:
-            stat = self.forward[label] = OpStat()
-        stat.calls += 1
-        stat.seconds += seconds
-        stat.elements += elements
 
     def reset(self) -> None:
         """Drop all accumulated statistics (hook state is untouched)."""

@@ -19,7 +19,6 @@ from repro.schedules.decay import (
     ExponentialEpochDecay,
     PolynomialDecay,
 )
-from repro.schedules.cosine import CosineDecay, LinearDecay
 from repro.schedules.warmup import GradualWarmup
 from repro.schedules.scaling import sqrt_scaled_lr, linear_scaled_lr
 from repro.schedules.legw import LEGW, legw_warmup_epochs, legw_peak_lr
@@ -32,8 +31,6 @@ __all__ = [
     "MultiStepDecay",
     "ExponentialEpochDecay",
     "PolynomialDecay",
-    "CosineDecay",
-    "LinearDecay",
     "GradualWarmup",
     "sqrt_scaled_lr",
     "linear_scaled_lr",

@@ -16,9 +16,7 @@ manufactures it by coalescing concurrent requests under a
   rates, and a full batch dispatches immediately;
 * sequence inputs are **length-bucketed**: a batch only mixes requests
   whose lengths fall in the same ``bucket_width``-sized band, so padding
-  waste stays bounded (the same idea
-  :class:`repro.data.contiguous.ContiguousLMIterator` applies to
-  training windows).  Bucketing never starves anyone: each batch is
+  waste stays bounded.  Bucketing never starves anyone: each batch is
   built around the *head* request's bucket, so the oldest request always
   ships in the next batch.
 """

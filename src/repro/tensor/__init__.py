@@ -23,12 +23,9 @@ updates) additionally have fused single-node kernels in
 the ``REPRO_FUSED`` environment variable) and property-tested against
 the reference graphs in ``tests/test_fused_parity.py``.
 
-One level up sits the trace-and-replay graph compiler
-(:mod:`repro.compile`): capture a whole training step once, replay it
-into preallocated buffers with dead-node elimination and elementwise
-chain fusion, falling back to eager on any shape/dtype/graph change.
-Switched with :func:`use_compiled` / ``REPRO_COMPILE`` and pinned
-bit-identical to eager by ``tests/test_compile_parity.py``.
+Emulated mixed precision (:mod:`repro.tensor.amp`) rounds op outputs to
+the float16 grid inside :func:`autocast`; view ops are exempt, so a
+reshape or slice keeps sharing its parent's buffer.
 """
 
 from repro.tensor.tensor import (
@@ -67,7 +64,6 @@ from repro.tensor.amp import (
     bf16_roundtrip,
     quantize_fp16_stochastic,
 )
-from repro.compile.config import use_compiled, compiled_enabled, compiled_graphs
 from repro.tensor.gradcheck import gradcheck, numeric_grad, GradcheckReport
 
 __all__ = [
@@ -105,9 +101,6 @@ __all__ = [
     "fp16_roundtrip",
     "bf16_roundtrip",
     "quantize_fp16_stochastic",
-    "use_compiled",
-    "compiled_enabled",
-    "compiled_graphs",
     "gradcheck",
     "numeric_grad",
     "GradcheckReport",

@@ -16,7 +16,7 @@ Three pieces live here:
   with unbiased stochastic rounding (used by the wire-compression
   ablation in :mod:`repro.parallel.buckets`).
 
-* **The global AMP switch** — mirrors the fused/compile switches:
+* **The global AMP switch** — mirrors the fused-kernel switch:
   ``REPRO_AMP=1`` in the environment, :func:`use_amp` to flip it at
   runtime, :func:`amp_enabled` to read it, and the
   :func:`mixed_precision` context manager for scoped tests.  The switch
@@ -28,13 +28,10 @@ Three pieces live here:
   so they remain views of their parents).  The training loop wraps only
   the *forward* pass in autocast: backward runs through the saved vjp
   closures in float64, which is exactly the "fp16 storage, wider math"
-  split real tensor cores give you.
-
-Autocast is incompatible with trace-and-replay graph capture
-(:mod:`repro.compile`): quantization replaces op output buffers, which
-breaks the in-place replay contract.  ``Trainer`` resolves the conflict
-by never enabling both for the same run (an explicit ``compiled=True``
-wins over an environment-defaulted ``amp``).
+  split real tensor cores give you.  The exemption is the private
+  ``view`` flag of ``Tensor._make``, set by reshape (when it does not
+  copy), transpose, squeeze, expand_dims, swapaxes, basic indexing and
+  the fused LSTM's output slices.
 """
 
 from __future__ import annotations
@@ -128,7 +125,7 @@ def quantize_fp16_stochastic(
 
 
 # --------------------------------------------------------------------------
-# the global AMP switch (mirrors REPRO_FUSED / REPRO_COMPILE)
+# the global AMP switch (mirrors REPRO_FUSED)
 # --------------------------------------------------------------------------
 
 _AMP_ENABLED = os.environ.get("REPRO_AMP", "").strip().lower() not in (

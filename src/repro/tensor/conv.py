@@ -22,38 +22,15 @@ def _out_size(size: int, k: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - k) // stride + 1
 
 
-def _im2col(
-    x: np.ndarray,
-    k: int,
-    stride: int,
-    pad: int,
-    out: np.ndarray | None = None,
-    padded: np.ndarray | None = None,
-) -> np.ndarray:
-    """Extract (N, C, k, k, H_out, W_out) patches from an NCHW array.
-
-    With ``out`` the patches are copied into the caller's buffer (used by
-    the compiled-replay path to avoid reallocating the patch matrix);
-    values are identical either way — both forms are plain strided copies.
-    ``padded`` is an optional zero-bordered scratch of shape
-    ``(N, C, H+2p, W+2p)`` that replaces the ``np.pad`` allocation: only
-    the interior is rewritten, the zero border is invariant.
-    """
+def _im2col(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
+    """Extract (N, C, k, k, H_out, W_out) patches from an NCHW array."""
     if pad:
-        if padded is None:
-            x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-        else:
-            padded[:, :, pad:-pad, pad:-pad] = x
-            x = padded
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     windows = sliding_window_view(x, (k, k), axis=(2, 3))
     # windows: (N, C, H_out_full, W_out_full, k, k) -> stride
     windows = windows[:, :, ::stride, ::stride, :, :]
     # reorder to (N, C, k, k, H_out, W_out)
-    windows = windows.transpose(0, 1, 4, 5, 2, 3)
-    if out is None:
-        return np.ascontiguousarray(windows)
-    np.copyto(out, windows)
-    return out
+    return np.ascontiguousarray(windows.transpose(0, 1, 4, 5, 2, 3))
 
 
 def _col2im(
@@ -62,19 +39,11 @@ def _col2im(
     k: int,
     stride: int,
     pad: int,
-    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Scatter-add patch gradients back to input layout (inverse of im2col).
-
-    ``out`` must be a ``(N, C, H+2p, W+2p)`` scratch buffer when given; it
-    is zero-filled first, so the accumulation is identical either way.
-    """
+    """Scatter-add patch gradients back to input layout (inverse of im2col)."""
     n, c, h, w = x_shape
     hp, wp = h + 2 * pad, w + 2 * pad
-    if out is None:
-        out = np.zeros((n, c, hp, wp))
-    else:
-        out.fill(0.0)
+    out = np.zeros((n, c, hp, wp))
     h_out = _out_size(h, k, stride, pad)
     w_out = _out_size(w, k, stride, pad)
     for ki in range(k):
@@ -116,61 +85,27 @@ def conv2d(
     # (o, K) @ (n, K, P) -> (n, o, P): a broadcast batched GEMM.  Direct
     # matmul rather than einsum — einsum's Python-side path/parse machinery
     # costs more than these small contractions do.
-    pre = np.matmul(w_mat, cols_mat)
-    pre4 = pre.reshape(n, c_out, h_out, w_out)
+    out = np.matmul(w_mat, cols_mat).reshape(n, c_out, h_out, w_out)
     if bias is not None:
-        out = pre4 + bias.data.reshape(1, c_out, 1, 1)
-    else:
-        out = pre4
+        out = out + bias.data.reshape(1, c_out, 1, 1)
 
     parents: tuple[Tensor, ...] = (x, weight) if bias is None else (x, weight, bias)
 
-    # persistent backward scratch: an eager step builds a fresh node (and
-    # allocates once, as before), but compiled replay keeps this closure
-    # alive across steps, so the patch-gradient and col2im buffers — the
-    # dominant conv-backward allocations — are reused; backward() copies
-    # leaf grads out, so reuse is observationally identical
-    bwd: dict[str, np.ndarray] = {}
-
     def vjp(g: np.ndarray):
         g_mat = g.reshape(n, c_out, h_out * w_out)
-        if not bwd:
-            bwd["per_n"] = np.empty((n, c_out, c_in * k * k))
-            bwd["dw"] = np.empty((c_out, c_in * k * k))
-            bwd["dcols"] = np.empty((n, c_in * k * k, h_out * w_out))
-            bwd["pad"] = np.empty(
-                (n, c_in, h + 2 * padding, w + 2 * padding)
-            )
         # dW: per-sample g @ patchᵀ, then reduced over the batch
-        np.matmul(g_mat, cols_mat.transpose(0, 2, 1), out=bwd["per_n"])
-        dw = np.add.reduce(bwd["per_n"], axis=0, out=bwd["dw"])
+        dw = np.matmul(g_mat, cols_mat.transpose(0, 2, 1)).sum(axis=0)
         dw = dw.reshape(weight.shape)
         # dX: Wᵀ @ g scattered back through col2im
-        dcols = np.matmul(w_mat.T, g_mat, out=bwd["dcols"])
+        dcols = np.matmul(w_mat.T, g_mat)
         dcols = dcols.reshape(n, c_in, k, k, h_out, w_out)
-        dx = _col2im(dcols, x.shape, k, stride, padding, out=bwd["pad"])
+        dx = _col2im(dcols, x.shape, k, stride, padding)
         if bias is None:
             return (dx, dw)
         db = g.sum(axis=(0, 2, 3))
         return (dx, dw, db)
 
-    rep: dict[str, np.ndarray] = {}
-
-    def replay():
-        padded = None
-        if padding:
-            padded = rep.get("padded")
-            if padded is None:
-                padded = rep["padded"] = np.zeros(
-                    (n, c_in, h + 2 * padding, w + 2 * padding),
-                    dtype=x.data.dtype,
-                )
-        _im2col(x.data, k, stride, padding, out=cols, padded=padded)
-        np.matmul(w_mat, cols_mat, out=pre)
-        if bias is not None:
-            np.add(pre4, bias.data.reshape(1, c_out, 1, 1), out=out)
-
-    return Tensor._make(out, parents, vjp, "conv2d", replay=replay)
+    return Tensor._make(out, parents, vjp, "conv2d")
 
 
 def max_pool2d(x: Tensor, k: int, stride: int | None = None) -> Tensor:
@@ -185,24 +120,13 @@ def max_pool2d(x: Tensor, k: int, stride: int | None = None) -> Tensor:
     arg = flat.argmax(axis=2)
     out = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
 
-    bwd: dict[str, np.ndarray] = {}
-
     def vjp(g: np.ndarray):
-        if not bwd:
-            bwd["dflat"] = np.empty_like(flat)
-            bwd["pad"] = np.empty((n, c, h, w))
-        dflat = bwd["dflat"]
-        dflat.fill(0.0)
+        dflat = np.zeros_like(flat)
         np.put_along_axis(dflat, arg[:, :, None], g[:, :, None], axis=2)
         dcols = dflat.reshape(n, c, k, k, h_out, w_out)
-        return (_col2im(dcols, x.shape, k, stride, 0, out=bwd["pad"]),)
+        return (_col2im(dcols, x.shape, k, stride, 0),)
 
-    def replay():
-        _im2col(x.data, k, stride, 0, out=cols)
-        flat.argmax(axis=2, out=arg)
-        np.copyto(out, np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0])
-
-    return Tensor._make(out, (x,), vjp, "max_pool2d", replay=replay)
+    return Tensor._make(out, (x,), vjp, "max_pool2d")
 
 
 def avg_pool2d(x: Tensor, k: int, stride: int | None = None) -> Tensor:
@@ -215,21 +139,10 @@ def avg_pool2d(x: Tensor, k: int, stride: int | None = None) -> Tensor:
     cols = _im2col(x.data, k, stride, 0)
     out = cols.mean(axis=(2, 3))
 
-    bwd: dict[str, np.ndarray] = {}
-
     def vjp(g: np.ndarray):
-        if not bwd:
-            bwd["dcols"] = np.empty((n, c, k, k, h_out, w_out))
-            bwd["pad"] = np.empty((n, c, h, w))
-        dcols = bwd["dcols"]
-        np.copyto(
-            dcols,
-            np.broadcast_to(g[:, :, None, None] / (k * k), dcols.shape),
-        )
-        return (_col2im(dcols, x.shape, k, stride, 0, out=bwd["pad"]),)
+        dcols = np.broadcast_to(
+            g[:, :, None, None] / (k * k), (n, c, k, k, h_out, w_out)
+        ).copy()
+        return (_col2im(dcols, x.shape, k, stride, 0),)
 
-    def replay():
-        _im2col(x.data, k, stride, 0, out=cols)
-        cols.mean(axis=(2, 3), out=out)
-
-    return Tensor._make(out, (x,), vjp, "avg_pool2d", replay=replay)
+    return Tensor._make(out, (x,), vjp, "avg_pool2d")

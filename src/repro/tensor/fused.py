@@ -62,7 +62,7 @@ import os
 
 import numpy as np
 
-from repro.tensor.tensor import REPLAY_VIEW, Tensor, as_tensor
+from repro.tensor.tensor import Tensor, as_tensor
 
 __all__ = [
     "use_fused",
@@ -181,39 +181,19 @@ def lstm_cell_step(
     hs = int(hidden_size)
     in_size = x.shape[1]
 
-    batch = x.shape[0]
-    xh = np.empty((batch, in_size + h.shape[1]))
-    z = np.empty((batch, 4 * hs))
-    i = np.empty((batch, hs))
-    f = np.empty((batch, hs))
-    g_ = np.empty((batch, hs))
-    o = np.empty((batch, hs))
-    tmp = np.empty((batch, hs))
-    c_new = np.empty((batch, hs))
-    tanh_c = np.empty((batch, hs))
-    packed = np.empty((2, batch, hs))
+    xh = np.concatenate((x.data, h.data), axis=1)
+    z = xh @ kernel.data
+    z += bias.data
+    i = _fast_sigmoid(z[:, 0 * hs : 1 * hs])
+    f = _fast_sigmoid(z[:, 1 * hs : 2 * hs])
+    g_ = np.tanh(z[:, 2 * hs : 3 * hs])
+    o = _fast_sigmoid(z[:, 3 * hs : 4 * hs])
+    c_new = f * c.data + i * g_
+    tanh_c = np.tanh(c_new)
+    packed = np.empty((2,) + c_new.shape)
+    np.multiply(o, tanh_c, out=packed[0])  # h_new
+    packed[1] = c_new
     c_prev = c.data
-
-    def _forward():
-        # same arithmetic in the same order as the original expression
-        # form, routed through the preallocated buffers so a compiled
-        # replay re-runs it bit-identically in place
-        xh[:, :in_size] = x.data
-        xh[:, in_size:] = h.data
-        np.matmul(xh, kernel.data, out=z)
-        np.add(z, bias.data, out=z)
-        _sigmoid_into(z[:, 0 * hs : 1 * hs], i, tmp)
-        _sigmoid_into(z[:, 1 * hs : 2 * hs], f, tmp)
-        np.tanh(z[:, 2 * hs : 3 * hs], out=g_)
-        _sigmoid_into(z[:, 3 * hs : 4 * hs], o, tmp)
-        np.multiply(f, c.data, out=c_new)
-        np.multiply(i, g_, out=tmp)
-        np.add(c_new, tmp, out=c_new)
-        np.tanh(c_new, out=tanh_c)
-        np.multiply(o, tanh_c, out=packed[0])  # h_new
-        packed[1] = c_new
-
-    _forward()
 
     def vjp(gpack: np.ndarray):
         gh, gc = gpack[0], gpack[1]
@@ -236,9 +216,7 @@ def lstm_cell_step(
             dbias,
         )
 
-    out = Tensor._make(
-        packed, (x, h, c, kernel, bias), vjp, "fused_lstm_cell", replay=_forward
-    )
+    out = Tensor._make(packed, (x, h, c, kernel, bias), vjp, "fused_lstm_cell")
     return _packed_slice(out, 0), _packed_slice(out, 1)
 
 
@@ -257,7 +235,7 @@ def _packed_slice(packed: Tensor, index: int) -> Tensor:
         return (gp,)
 
     return Tensor._make(
-        packed.data[index], (packed,), vjp, "fused_lstm_out", replay=REPLAY_VIEW
+        packed.data[index], (packed,), vjp, "fused_lstm_out", view=True
     )
 
 
@@ -270,7 +248,7 @@ def _packed_range(packed: Tensor, stop: int) -> Tensor:
         return (gp,)
 
     return Tensor._make(
-        packed.data[:stop], (packed,), vjp, "fused_lstm_out", replay=REPLAY_VIEW
+        packed.data[:stop], (packed,), vjp, "fused_lstm_out", view=True
     )
 
 
@@ -319,8 +297,8 @@ def lstm_layer(
     w_h = kernel.data[in_size:]
 
     x_flat = x.data.reshape(seq_len * batch, in_size)
-    x_shared = np.shares_memory(x_flat, x.data)
-    z_all = np.empty((seq_len * batch, 4 * hs))
+    z_all = x_flat @ w_x
+    z_all += bias.data
     z_steps = z_all.reshape(seq_len, batch, 4 * hs)
 
     h_prev = np.empty((seq_len, batch, hs))
@@ -336,60 +314,39 @@ def lstm_layer(
     # in-place ufuncs, no per-step temporaries — because at (B, H) =
     # (256, 128) allocator churn costs as much as the arithmetic.
     order = range(seq_len - 1, -1, -1) if reverse else range(seq_len)
+    h, c = h0.data, c0.data
     rec = np.empty((batch, 4 * hs))
     tmp = np.empty((batch, hs))
     c_buf = np.empty((batch, hs))
-
-    def _forward():
-        if not x_shared:  # non-contiguous input: re-flatten into our copy
-            np.copyto(x_flat, x.data.reshape(seq_len * batch, in_size))
-        np.matmul(x_flat, w_x, out=z_all)
-        np.add(z_all, bias.data, out=z_all)
-        h, c = h0.data, c0.data
-        for t in order:
-            h_prev[t] = h
-            c_prev[t] = c
-            z = z_steps[t]
-            np.matmul(h, w_h, out=rec)
-            z += rec
-            i = _sigmoid_into(z[:, 0 * hs : 1 * hs], gate_i[t], tmp)
-            f = _sigmoid_into(z[:, 1 * hs : 2 * hs], gate_f[t], tmp)
-            g_ = np.tanh(z[:, 2 * hs : 3 * hs], out=gate_g[t])
-            o = _sigmoid_into(z[:, 3 * hs : 4 * hs], gate_o[t], tmp)
-            np.multiply(i, g_, out=tmp)
-            np.multiply(f, c, out=c_buf)  # aliasing-safe when c is c_buf
-            np.add(c_buf, tmp, out=c_buf)
-            c = c_buf
-            tc = np.tanh(c, out=tanh_c[t])
-            h = np.multiply(o, tc, out=packed[t])
-        packed[seq_len] = h
-        packed[seq_len + 1] = c
-
-    _forward()
-
-    # Backward scratch is allocated lazily on the first backward call and
-    # then reused: the vjp runs at most once per backward pass, and
-    # ``Tensor.backward`` copies leaf gradients out of what vjps return,
-    # so reusing these buffers across steps is observationally identical.
-    bwd: dict[str, np.ndarray] = {}
+    for t in order:
+        h_prev[t] = h
+        c_prev[t] = c
+        z = z_steps[t]
+        np.matmul(h, w_h, out=rec)
+        z += rec
+        i = _sigmoid_into(z[:, 0 * hs : 1 * hs], gate_i[t], tmp)
+        f = _sigmoid_into(z[:, 1 * hs : 2 * hs], gate_f[t], tmp)
+        g_ = np.tanh(z[:, 2 * hs : 3 * hs], out=gate_g[t])
+        o = _sigmoid_into(z[:, 3 * hs : 4 * hs], gate_o[t], tmp)
+        np.multiply(i, g_, out=tmp)
+        np.multiply(f, c, out=c_buf)  # aliasing-safe when c is c_buf
+        c_buf += tmp
+        c = c_buf
+        tc = np.tanh(c, out=tanh_c[t])
+        h = np.multiply(o, tc, out=packed[t])
+    packed[seq_len] = h
+    packed[seq_len + 1] = c
 
     def vjp(gpack: np.ndarray):
-        if not bwd:
-            bwd["dz_all"] = np.empty((seq_len, batch, 4 * hs))
-            bwd["dh"] = np.empty((batch, hs))
-            bwd["dc"] = np.empty((batch, hs))
-            bwd["t1"] = np.empty((batch, hs))
-            bwd["gh"] = np.empty((batch, hs))
-            bwd["gc"] = np.empty((batch, hs))
-            bwd["dx"] = np.empty((seq_len * batch, in_size))
-            bwd["dkernel"] = np.empty_like(kernel.data)
-            bwd["dbias"] = np.empty(4 * hs)
-        dz_all = bwd["dz_all"]
-        dh, dc, t1 = bwd["dh"], bwd["dc"], bwd["t1"]
-        gh_buf, gc_buf = bwd["gh"], bwd["gc"]
         g_out = gpack[:seq_len]
         gh = gpack[seq_len].copy()
         gc = gpack[seq_len + 1].copy()
+        dz_all = np.empty((seq_len, batch, 4 * hs))
+        dh = np.empty((batch, hs))
+        dc = np.empty((batch, hs))
+        t1 = np.empty((batch, hs))
+        gh_buf = np.empty((batch, hs))
+        gc_buf = np.empty((batch, hs))
         for t in reversed(order):
             i, f, g_, o = gate_i[t], gate_f[t], gate_g[t], gate_o[t]
             tc = tanh_c[t]
@@ -428,18 +385,16 @@ def lstm_layer(
             gh = np.matmul(dz, w_h.T, out=gh_buf)
             gc = np.multiply(dc, f, out=gc_buf)
         dz_flat = dz_all.reshape(seq_len * batch, 4 * hs)
-        np.matmul(dz_flat, w_x.T, out=bwd["dx"])
-        dx = bwd["dx"].reshape(x.shape)
-        dkernel = bwd["dkernel"]
+        dx = (dz_flat @ w_x.T).reshape(x.shape)
+        dkernel = np.empty_like(kernel.data)
         np.matmul(x_flat.T, dz_flat, out=dkernel[:in_size])
         np.matmul(h_prev.reshape(seq_len * batch, hs).T, dz_flat,
                   out=dkernel[in_size:])
-        dbias = dz_flat.sum(axis=0, out=bwd["dbias"])
+        dbias = dz_flat.sum(axis=0)
         return (dx, gh, gc, dkernel, dbias)
 
     out = Tensor._make(
-        packed, (x, h0, c0, kernel, bias), vjp, "fused_lstm_layer",
-        replay=_forward,
+        packed, (x, h0, c0, kernel, bias), vjp, "fused_lstm_layer"
     )
     return (
         _packed_range(out, seq_len),
@@ -501,60 +456,20 @@ def softmax_cross_entropy(
     per_pos = lse - flat_logits[rows, flat_targets]
     if eps != 0.0:
         per_pos = (1.0 - eps) * per_pos + eps * (lse - flat_logits.mean(axis=1))
-    state = {"denom": denom}
     loss = float((per_pos * flat_mask).sum() / denom)
-    out_arr = np.asarray(loss)
-
-    # persistent probability buffer: the LM-vocab-sized exp() result is
-    # the big backward allocation; backward() copies leaf grads out, so
-    # reusing it across replayed steps is observationally identical
-    bwd: dict[str, np.ndarray] = {}
 
     def vjp(g: np.ndarray):
         # grad = (softmax(logits) - target_dist) * g * mask / denom,
-        # built in place on the exponentiated probability buffer
-        grad = bwd.get("grad")
-        if grad is None:
-            grad = bwd["grad"] = np.empty_like(flat_logits)
-        np.subtract(flat_logits, lse[:, None], out=grad)
-        np.exp(grad, out=grad)
-        scale = (float(g) / state["denom"]) * flat_mask
+        # built in place on the freshly exponentiated probability buffer
+        grad = np.exp(flat_logits - lse[:, None])
+        scale = (float(g) / denom) * flat_mask
         grad *= scale[:, None]
         if eps != 0.0:
             grad -= (eps / num_classes) * scale[:, None]
         grad[rows, flat_targets] -= (1.0 - eps) * scale
         return (grad.reshape(logits.shape),)
 
-    logits_shared = np.shares_memory(flat_logits, logits.data)
-    targets_shared = np.shares_memory(flat_targets, targets)
-    mask_shared = mask is None or np.shares_memory(flat_mask, np.asarray(mask))
-
-    def replay():
-        if not logits_shared:
-            np.copyto(flat_logits, logits.data.reshape(-1, num_classes))
-        if not targets_shared:
-            np.copyto(flat_targets, targets.reshape(-1))
-        if np.any(flat_targets < 0) or np.any(flat_targets >= num_classes):
-            raise ValueError("target indices out of range")
-        if not mask_shared:
-            np.copyto(flat_mask, np.asarray(mask, dtype=np.float64).reshape(-1))
-        state["denom"] = flat_mask.sum()
-        if state["denom"] <= 0:
-            raise ValueError("cross_entropy mask excludes every position")
-        m2 = flat_logits.max(axis=1, keepdims=True)
-        np.copyto(
-            lse,
-            (m2 + np.log(np.exp(flat_logits - m2).sum(axis=1, keepdims=True)))
-            .ravel(),
-        )
-        pp = lse - flat_logits[rows, flat_targets]
-        if eps != 0.0:
-            pp = (1.0 - eps) * pp + eps * (lse - flat_logits.mean(axis=1))
-        out_arr[...] = float((pp * flat_mask).sum() / state["denom"])
-
-    return Tensor._make(
-        out_arr, (logits,), vjp, "fused_softmax_xent", replay=replay
-    )
+    return Tensor._make(np.asarray(loss), (logits,), vjp, "fused_softmax_xent")
 
 
 # --------------------------------------------------------------------------
@@ -578,15 +493,6 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     xhat = xc * inv_std
     out = xhat * gain.data + bias.data
 
-    def replay():
-        np.copyto(mu, x.data.mean(axis=-1, keepdims=True))
-        np.subtract(x.data, mu, out=xc)
-        np.copyto(var, np.mean(xc * xc, axis=-1, keepdims=True))
-        np.copyto(inv_std, 1.0 / np.sqrt(var + eps))
-        np.multiply(xc, inv_std, out=xhat)
-        np.multiply(xhat, gain.data, out=out)
-        np.add(out, bias.data, out=out)
-
     def vjp(g: np.ndarray):
         dxhat = g * gain.data
         mean1 = dxhat.mean(axis=-1, keepdims=True)
@@ -597,9 +503,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         dbias = g.sum(axis=lead)
         return (dx, dgain, dbias)
 
-    return Tensor._make(
-        out, (x, gain, bias), vjp, "fused_layer_norm", replay=replay
-    )
+    return Tensor._make(out, (x, gain, bias), vjp, "fused_layer_norm")
 
 
 # --------------------------------------------------------------------------

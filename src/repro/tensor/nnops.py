@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, as_tensor, stochastic_replay
+from repro.tensor.tensor import Tensor, as_tensor
 from repro.utils.rng import as_generator
 
 
@@ -35,12 +35,7 @@ def softmax(logits: Tensor, axis: int = -1) -> Tensor:
         dot = (g * probs).sum(axis=axis, keepdims=True)
         return (probs * (g - dot),)
 
-    def replay():
-        shifted = logits.data - logits.data.max(axis=axis, keepdims=True)
-        expd = np.exp(shifted)
-        np.divide(expd, expd.sum(axis=axis, keepdims=True), out=probs)
-
-    return Tensor._make(probs, (logits,), vjp, "softmax", replay=replay)
+    return Tensor._make(probs, (logits,), vjp, "softmax")
 
 
 def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
@@ -52,11 +47,7 @@ def log_softmax(logits: Tensor, axis: int = -1) -> Tensor:
     def vjp(g: np.ndarray):
         return (g - probs * g.sum(axis=axis, keepdims=True),)
 
-    def replay():
-        np.copyto(out, logits.data - _logsumexp(logits.data, axis))
-        np.exp(out, out=probs)
-
-    return Tensor._make(out, (logits,), vjp, "log_softmax", replay=replay)
+    return Tensor._make(out, (logits,), vjp, "log_softmax")
 
 
 def cross_entropy(
@@ -128,11 +119,9 @@ def cross_entropy(
         nll_target = -logp[rows, flat_targets]
         nll_uniform = -logp.mean(axis=1)
         per_pos = (1.0 - eps) * nll_target + eps * nll_uniform
-    state = {"denom": denom}
     loss = float((per_pos * flat_mask).sum() / denom)
 
     probs = np.exp(logp)
-    out_arr = np.asarray(loss)
 
     def vjp(g: np.ndarray):
         # g is scalar
@@ -140,36 +129,10 @@ def cross_entropy(
         target_dist[rows, flat_targets] = 1.0 - eps
         if eps != 0.0:
             target_dist += eps / num_classes
-        grad = (probs - target_dist) * (flat_mask / state["denom"])[:, None]
+        grad = (probs - target_dist) * (flat_mask / denom)[:, None]
         return ((float(g) * grad).reshape(logits.shape),)
 
-    # which captured flats are views of live buffers (refreshed in place by
-    # upstream replays) vs. private copies that must be re-derived
-    logits_shared = np.shares_memory(flat_logits, logits.data)
-    targets_shared = np.shares_memory(flat_targets, targets)
-    mask_shared = mask is None or np.shares_memory(flat_mask, np.asarray(mask))
-
-    def replay():
-        if not logits_shared:
-            np.copyto(flat_logits, logits.data.reshape(-1, num_classes))
-        if not targets_shared:
-            np.copyto(flat_targets, targets.reshape(-1))
-        if np.any(flat_targets < 0) or np.any(flat_targets >= num_classes):
-            raise ValueError("target indices out of range")
-        if not mask_shared:
-            np.copyto(flat_mask, np.asarray(mask, dtype=np.float64).reshape(-1))
-        state["denom"] = flat_mask.sum()
-        if state["denom"] <= 0:
-            raise ValueError("cross_entropy mask excludes every position")
-        np.copyto(logp, flat_logits - _logsumexp(flat_logits, axis=1))
-        np.exp(logp, out=probs)
-        if eps == 0.0:
-            pp = -logp[rows, flat_targets]
-        else:
-            pp = (1.0 - eps) * -logp[rows, flat_targets] + eps * -logp.mean(axis=1)
-        out_arr[...] = float((pp * flat_mask).sum() / state["denom"])
-
-    return Tensor._make(out_arr, (logits,), vjp, "cross_entropy", replay=replay)
+    return Tensor._make(np.asarray(loss), (logits,), vjp, "cross_entropy")
 
 
 def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
@@ -184,26 +147,12 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
         raise ValueError("embedding indices out of range")
     out_data = table.data[indices]
 
-    scratch: dict[str, np.ndarray] = {}
-
     def vjp(g: np.ndarray):
-        # persistent scatter buffer: vocab-sized zeros are the dominant
-        # allocation in the LM backward, and backward() always copies leaf
-        # grads out, so reuse across steps is observationally identical
-        grad = scratch.get("grad")
-        if grad is None:
-            grad = scratch["grad"] = np.zeros_like(table.data)
-        else:
-            grad.fill(0.0)
+        grad = np.zeros_like(table.data)
         np.add.at(grad, indices.reshape(-1), g.reshape(-1, table.shape[1]))
         return (grad,)
 
-    def replay():
-        if np.any(indices < 0) or np.any(indices >= table.shape[0]):
-            raise ValueError("embedding indices out of range")
-        np.take(table.data, indices, axis=0, out=out_data)
-
-    return Tensor._make(out_data, (table,), vjp, "embedding", replay=replay)
+    return Tensor._make(out_data, (table,), vjp, "embedding")
 
 
 def dropout_mask(x: Tensor, p: float, rng) -> Tensor:
@@ -220,12 +169,4 @@ def dropout_mask(x: Tensor, p: float, rng) -> Tensor:
     x = as_tensor(x)
     gen = as_generator(rng)
     keep = (gen.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    out = x.data * keep
-
-    @stochastic_replay
-    def replay():
-        # consumes the shared generator stream exactly like the eager call
-        np.copyto(keep, (gen.random(x.shape) >= p).astype(np.float64) / (1.0 - p))
-        np.multiply(x.data, keep, out=out)
-
-    return Tensor._make(out, (x,), lambda g: (g * keep,), "dropout", replay=replay)
+    return Tensor._make(x.data * keep, (x,), lambda g: (g * keep,), "dropout")

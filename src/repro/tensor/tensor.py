@@ -101,38 +101,6 @@ def stable_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# replay protocol (consumed by repro.compile)
-# --------------------------------------------------------------------------
-#
-# Every op passes ``Tensor._make`` an optional ``replay`` describing how to
-# recompute its forward value *in place* — writing into the same output
-# buffer and refreshing any auxiliary arrays its vjp closed over — after the
-# op's inputs have been updated in place.  The engine itself ignores the
-# argument entirely; only an attached :class:`repro.compile.GraphRecorder`
-# reads it, so the eager path pays one closure allocation per node and
-# nothing else.  Three values are meaningful:
-#
-# * ``None`` — the op cannot be replayed (a capture containing it falls
-#   back to eager execution);
-# * :data:`REPLAY_VIEW` — the output is a NumPy view of a parent's buffer
-#   (reshape/transpose/slice): replay is a no-op because the view tracks
-#   the parent's in-place update;
-# * a zero-argument callable — re-runs the forward arithmetic into the
-#   captured buffers, bit-identically to the eager computation.  A callable
-#   with a truthy ``stochastic`` attribute consumes RNG state (dropout);
-#   plans containing one skip first-replay validation but still replay
-#   deterministically relative to the shared generator stream.
-
-REPLAY_VIEW = "view"
-
-
-def stochastic_replay(fn):
-    """Mark ``fn`` as an RNG-consuming replay closure (see above)."""
-    fn.stochastic = True
-    return fn
-
-
-# --------------------------------------------------------------------------
 # Tensor
 # --------------------------------------------------------------------------
 
@@ -167,14 +135,12 @@ class Tensor:
         parents: tuple["Tensor", ...],
         vjp: Callable[[np.ndarray], Sequence[np.ndarray | None]],
         op: str,
-        replay=None,
+        view: bool = False,
     ) -> "Tensor":
-        # ``replay`` is not stored on the tensor: it only exists for the
-        # duration of this call, where an attached recorder (profiler-style
-        # monkey-patch, see repro.compile.recorder) can capture it.
-        if _amp._AUTOCAST and replay is not REPLAY_VIEW:
+        if _amp._AUTOCAST and not view:
             # emulated fp16 storage: op outputs round to the float16 grid,
-            # out of place so views keep sharing their parents' buffers
+            # out of place; a ``view`` (``data`` is a NumPy view of a
+            # parent's buffer) is exempt so it keeps sharing that buffer
             data = _amp.fp16_roundtrip(data)
         out = Tensor(data)
         if _GRAD_ENABLED and any(p.requires_grad for p in parents):
@@ -298,15 +264,11 @@ class Tensor:
     def __add__(self, other) -> "Tensor":
         other = as_tensor(other)
         a, b = self, other
-        # asarray: 0-d operands make ufuncs return NumPy *scalars*, but
-        # the replay closure needs a real array buffer it can write into
-        out_data = np.asarray(a.data + b.data)
         out = Tensor._make(
-            out_data,
+            a.data + b.data,
             (a, b),
             lambda g: (unbroadcast(g, a.shape), unbroadcast(g, b.shape)),
             "add",
-            replay=lambda: np.add(a.data, b.data, out=out_data),
         )
         return out
 
@@ -315,28 +277,11 @@ class Tensor:
     def __sub__(self, other) -> "Tensor":
         other = as_tensor(other)
         a, b = self, other
-        out_data = np.asarray(a.data - b.data)
-
-        # Like matmul's vjp, the backward buffers persist in the closure:
-        # eager builds a fresh node (and allocates once) per step exactly
-        # as before, while compiled replay reuses the same closure — and
-        # with it these buffers — across steps.  The in-place ufunc forms
-        # run the identical operation sequence, so values are bit-equal.
-        bwd: dict[str, np.ndarray] = {}
-
-        def vjp(g: np.ndarray):
-            nb = bwd.get("nb")
-            if nb is None:
-                nb = bwd["nb"] = np.empty_like(np.asarray(g))
-            np.negative(g, out=nb)
-            return (unbroadcast(g, a.shape), unbroadcast(nb, b.shape))
-
         return Tensor._make(
-            out_data,
+            a.data - b.data,
             (a, b),
-            vjp,
+            lambda g: (unbroadcast(g, a.shape), unbroadcast(-g, b.shape)),
             "sub",
-            replay=lambda: np.subtract(a.data, b.data, out=out_data),
         )
 
     def __rsub__(self, other) -> "Tensor":
@@ -345,24 +290,14 @@ class Tensor:
     def __mul__(self, other) -> "Tensor":
         other = as_tensor(other)
         a, b = self, other
-        out_data = np.asarray(a.data * b.data)
-        bwd: dict[str, np.ndarray] = {}
-
-        def vjp(g: np.ndarray):
-            ga, gb = bwd.get("ga"), bwd.get("gb")
-            if ga is None:
-                ga = bwd["ga"] = np.empty_like(np.asarray(g))
-                gb = bwd["gb"] = np.empty_like(np.asarray(g))
-            np.multiply(g, b.data, out=ga)
-            np.multiply(g, a.data, out=gb)
-            return (unbroadcast(ga, a.shape), unbroadcast(gb, b.shape))
-
         return Tensor._make(
-            out_data,
+            a.data * b.data,
             (a, b),
-            vjp,
+            lambda g: (
+                unbroadcast(g * b.data, a.shape),
+                unbroadcast(g * a.data, b.shape),
+            ),
             "mul",
-            replay=lambda: np.multiply(a.data, b.data, out=out_data),
         )
 
     __rmul__ = __mul__
@@ -370,29 +305,14 @@ class Tensor:
     def __truediv__(self, other) -> "Tensor":
         other = as_tensor(other)
         a, b = self, other
-        out_data = np.asarray(a.data / b.data)
-        bwd: dict[str, np.ndarray] = {}
-
-        def vjp(g: np.ndarray):
-            if not bwd:
-                bwd["ga"] = np.empty_like(np.asarray(g))
-                bwd["gb"] = np.empty_like(np.asarray(g))
-                bwd["b2"] = np.empty_like(np.asarray(b.data))
-            ga, gb, b2 = bwd["ga"], bwd["gb"], bwd["b2"]
-            np.divide(g, b.data, out=ga)
-            # -g * a / (b*b), step for step as the eager expression ran it
-            np.negative(g, out=gb)
-            np.multiply(gb, a.data, out=gb)
-            np.multiply(b.data, b.data, out=b2)
-            np.divide(gb, b2, out=gb)
-            return (unbroadcast(ga, a.shape), unbroadcast(gb, b.shape))
-
         return Tensor._make(
-            out_data,
+            a.data / b.data,
             (a, b),
-            vjp,
+            lambda g: (
+                unbroadcast(g / b.data, a.shape),
+                unbroadcast(-g * a.data / (b.data * b.data), b.shape),
+            ),
             "div",
-            replay=lambda: np.divide(a.data, b.data, out=out_data),
         )
 
     def __rtruediv__(self, other) -> "Tensor":
@@ -400,50 +320,18 @@ class Tensor:
 
     def __neg__(self) -> "Tensor":
         a = self
-        out_data = np.asarray(-a.data)
-        bwd: dict[str, np.ndarray] = {}
-
-        def vjp(g: np.ndarray):
-            buf = bwd.get("g")
-            if buf is None:
-                buf = bwd["g"] = np.empty_like(np.asarray(g))
-            np.negative(g, out=buf)
-            return (buf,)
-
-        return Tensor._make(
-            out_data,
-            (a,),
-            vjp,
-            "neg",
-            replay=lambda: np.negative(a.data, out=out_data),
-        )
+        return Tensor._make(-a.data, (a,), lambda g: (-g,), "neg")
 
     def __pow__(self, exponent: float) -> "Tensor":
         if not np.isscalar(exponent):
             raise TypeError("Tensor ** only supports scalar exponents")
         a = self
         p = float(exponent)
-        out_data = np.asarray(a.data**p)
-        bwd: dict[str, np.ndarray] = {}
-
-        def vjp(g: np.ndarray):
-            buf = bwd.get("g")
-            if buf is None:
-                buf = bwd["g"] = np.empty_like(np.asarray(g))
-            np.multiply(g, p, out=buf)
-            # ``**`` keeps its special-exponent fast paths (bit-identical
-            # to the eager expression), so only the two products are cached
-            np.multiply(buf, a.data ** (p - 1), out=buf)
-            return (buf,)
-
         return Tensor._make(
-            out_data,
+            a.data**p,
             (a,),
-            vjp,
+            lambda g: (g * p * a.data ** (p - 1),),
             "pow",
-            # ``**`` has NumPy fast paths for special exponents; re-running
-            # the exact expression keeps the replay bit-identical
-            replay=lambda: np.copyto(out_data, a.data**p),
         )
 
     def __matmul__(self, other) -> "Tensor":
@@ -458,14 +346,7 @@ class Tensor:
         """
         other = as_tensor(other)
         a, b = self, other
-        out_data = np.asarray(a.data @ b.data)
-
-        # persistent backward buffers: a fresh eager node allocates them
-        # once per step as before, but a compiled replay keeps this very
-        # closure alive, so the two (often batched) gradient matmuls stop
-        # reallocating multi-MB outputs every step; backward() copies
-        # leaf grads out, so reuse is observationally identical
-        bwd: dict[str, np.ndarray] = {}
+        out_data = a.data @ b.data
 
         def vjp(g: np.ndarray):
             ad, bd = a.data, b.data
@@ -483,146 +364,76 @@ class Tensor:
                 ga = g[..., :, None] * bd
                 gb = (ad * g[..., :, None]).sum(axis=tuple(range(ad.ndim - 1)))
                 return (unbroadcast(ga, ad.shape), unbroadcast(gb, bd.shape))
-            ga, gb = bwd.get("ga"), bwd.get("gb")
-            if ga is None:
-                ga = bwd["ga"] = g @ np.swapaxes(bd, -1, -2)
-                gb = bwd["gb"] = np.swapaxes(ad, -1, -2) @ g
-            else:
-                np.matmul(g, np.swapaxes(bd, -1, -2), out=ga)
-                np.matmul(np.swapaxes(ad, -1, -2), g, out=gb)
+            ga = g @ np.swapaxes(bd, -1, -2)
+            gb = np.swapaxes(ad, -1, -2) @ g
             return (unbroadcast(ga, ad.shape), unbroadcast(gb, bd.shape))
 
-        if a.data.ndim >= 2 and b.data.ndim >= 2:
-            replay = lambda: np.matmul(a.data, b.data, out=out_data)  # noqa: E731
-        else:
-            # 1-D operands: matmul's out= rules are awkward, copy the result
-            replay = lambda: np.copyto(out_data, a.data @ b.data)  # noqa: E731
-
-        return Tensor._make(out_data, (a, b), vjp, "matmul", replay=replay)
+        return Tensor._make(out_data, (a, b), vjp, "matmul")
 
     # -- elementwise functions ----------------------------------------------
 
     def exp(self) -> "Tensor":
         a = self
-        out_data = np.asarray(np.exp(a.data))
-        return Tensor._make(
-            out_data,
-            (a,),
-            lambda g: (g * out_data,),
-            "exp",
-            replay=lambda: np.exp(a.data, out=out_data),
-        )
+        out_data = np.exp(a.data)
+        return Tensor._make(out_data, (a,), lambda g: (g * out_data,), "exp")
 
     def log(self) -> "Tensor":
         a = self
-        out_data = np.asarray(np.log(a.data))
-        return Tensor._make(
-            out_data,
-            (a,),
-            lambda g: (g / a.data,),
-            "log",
-            replay=lambda: np.log(a.data, out=out_data),
-        )
+        return Tensor._make(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
 
     def sqrt(self) -> "Tensor":
         a = self
-        out_data = np.asarray(np.sqrt(a.data))
+        out_data = np.sqrt(a.data)
         return Tensor._make(
-            out_data,
-            (a,),
-            lambda g: (g * 0.5 / out_data,),
-            "sqrt",
-            replay=lambda: np.sqrt(a.data, out=out_data),
+            out_data, (a,), lambda g: (g * 0.5 / out_data,), "sqrt"
         )
 
     def tanh(self) -> "Tensor":
         a = self
-        out_data = np.asarray(np.tanh(a.data))
+        out_data = np.tanh(a.data)
         return Tensor._make(
-            out_data,
-            (a,),
-            lambda g: (g * (1.0 - out_data * out_data),),
-            "tanh",
-            replay=lambda: np.tanh(a.data, out=out_data),
+            out_data, (a,), lambda g: (g * (1.0 - out_data * out_data),), "tanh"
         )
 
     def sigmoid(self) -> "Tensor":
         a = self
-        out_data = np.asarray(stable_sigmoid(a.data))
+        out_data = stable_sigmoid(a.data)
         return Tensor._make(
             out_data,
             (a,),
             lambda g: (g * out_data * (1.0 - out_data),),
             "sigmoid",
-            replay=lambda: np.copyto(out_data, stable_sigmoid(a.data)),
         )
 
     def relu(self) -> "Tensor":
         a = self
-        mask = np.asarray(a.data > 0)
-        out_data = np.asarray(np.where(mask, a.data, 0.0))
-
-        def replay():
-            np.greater(a.data, 0, out=mask)  # the vjp reads this mask
-            np.copyto(out_data, np.where(mask, a.data, 0.0))
-
-        bwd: dict[str, np.ndarray] = {}
-
-        def vjp(g: np.ndarray):
-            buf = bwd.get("g")
-            if buf is None:
-                buf = bwd["g"] = np.empty_like(np.asarray(g))
-            np.multiply(g, mask, out=buf)
-            return (buf,)
-
-        return Tensor._make(out_data, (a,), vjp, "relu", replay=replay)
+        mask = a.data > 0
+        return Tensor._make(
+            np.where(mask, a.data, 0.0), (a,), lambda g: (g * mask,), "relu"
+        )
 
     def abs(self) -> "Tensor":
         a = self
-        out_data = np.asarray(np.abs(a.data))
         return Tensor._make(
-            out_data,
-            (a,),
-            lambda g: (g * np.sign(a.data),),
-            "abs",
-            replay=lambda: np.abs(a.data, out=out_data),
+            np.abs(a.data), (a,), lambda g: (g * np.sign(a.data),), "abs"
         )
 
     def clip(self, low: float | None = None, high: float | None = None) -> "Tensor":
         """Clamp values; gradient is passed through only inside the window."""
         a = self
-        out_data = np.asarray(np.clip(a.data, low, high))
+        out_data = np.clip(a.data, low, high)
         inside = np.ones_like(a.data, dtype=bool)
         if low is not None:
             inside &= a.data >= low
         if high is not None:
             inside &= a.data <= high
-
-        def replay():
-            np.clip(a.data, low, high, out=out_data)
-            inside.fill(True)
-            if low is not None:
-                np.logical_and(inside, a.data >= low, out=inside)
-            if high is not None:
-                np.logical_and(inside, a.data <= high, out=inside)
-
-        return Tensor._make(
-            out_data, (a,), lambda g: (g * inside,), "clip", replay=replay
-        )
+        return Tensor._make(out_data, (a,), lambda g: (g * inside,), "clip")
 
     # -- reductions -----------------------------------------------------------
 
     def sum(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
-        # asarray: full reductions yield NumPy scalars, but the replay
-        # closure needs a real 0-d buffer it can write into with ``out=``
-        out_data = np.asarray(a.data.sum(axis=axis, keepdims=keepdims))
-
-        # persistent broadcast buffer: the input-sized gradient copy is the
-        # whole cost of a reduction's backward, so compiled replay (which
-        # keeps this closure alive) reuses it; eager still allocates once
-        # per fresh node, exactly as before
-        bwd: dict[str, np.ndarray] = {}
+        out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
         def vjp(g: np.ndarray):
             if axis is not None:
@@ -630,24 +441,13 @@ class Tensor:
                 axes = tuple(ax % a.ndim for ax in axes)
                 if not keepdims:
                     g = np.expand_dims(g, axes)
-            full = np.broadcast_to(g, a.shape)
-            buf = bwd.get("g")
-            if buf is None:
-                buf = bwd["g"] = np.empty(a.shape, dtype=full.dtype)
-            np.copyto(buf, full)
-            return (buf,)
+            return (np.broadcast_to(g, a.shape).copy(),)
 
-        return Tensor._make(
-            out_data,
-            (a,),
-            vjp,
-            "sum",
-            replay=lambda: a.data.sum(axis=axis, keepdims=keepdims, out=out_data),
-        )
+        return Tensor._make(out_data, (a,), vjp, "sum")
 
     def mean(self, axis=None, keepdims: bool = False) -> "Tensor":
         a = self
-        out_data = np.asarray(a.data.mean(axis=axis, keepdims=keepdims))
+        out_data = a.data.mean(axis=axis, keepdims=keepdims)
         if axis is None:
             count = a.data.size
         else:
@@ -656,33 +456,20 @@ class Tensor:
             for ax in axes:
                 count *= a.shape[ax % a.ndim]
 
-        bwd: dict[str, np.ndarray] = {}
-
         def vjp(g: np.ndarray):
             if axis is not None:
                 axes = axis if isinstance(axis, tuple) else (axis,)
                 axes = tuple(ax % a.ndim for ax in axes)
                 if not keepdims:
                     g = np.expand_dims(g, axes)
-            full = np.broadcast_to(g / count, a.shape)
-            buf = bwd.get("g")
-            if buf is None:
-                buf = bwd["g"] = np.empty(a.shape, dtype=full.dtype)
-            np.copyto(buf, full)
-            return (buf,)
+            return (np.broadcast_to(g / count, a.shape).copy(),)
 
-        return Tensor._make(
-            out_data,
-            (a,),
-            vjp,
-            "mean",
-            replay=lambda: a.data.mean(axis=axis, keepdims=keepdims, out=out_data),
-        )
+        return Tensor._make(out_data, (a,), vjp, "mean")
 
     def max(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Maximum reduction; ties split gradient equally (subgradient)."""
         a = self
-        out_data = np.asarray(a.data.max(axis=axis, keepdims=keepdims))
+        out_data = a.data.max(axis=axis, keepdims=keepdims)
 
         def vjp(g: np.ndarray):
             if axis is None:
@@ -702,13 +489,7 @@ class Tensor:
             ) if axis is not None else mask.sum()
             return (mask * gg,)
 
-        return Tensor._make(
-            out_data,
-            (a,),
-            vjp,
-            "max",
-            replay=lambda: a.data.max(axis=axis, keepdims=keepdims, out=out_data),
-        )
+        return Tensor._make(out_data, (a,), vjp, "max")
 
     def min(self, axis=None, keepdims: bool = False) -> "Tensor":
         """Minimum reduction; ties split gradient equally (subgradient)."""
@@ -735,17 +516,13 @@ class Tensor:
             shape = tuple(shape[0])
         a = self
         out_data = a.data.reshape(shape)
-        # reshape of a non-contiguous buffer copies; replay must re-copy
-        if np.shares_memory(out_data, a.data):
-            replay = REPLAY_VIEW
-        else:
-            replay = lambda: np.copyto(out_data, a.data.reshape(shape))
         return Tensor._make(
             out_data,
             (a,),
             lambda g: (g.reshape(a.shape),),
             "reshape",
-            replay=replay,
+            # reshape of a non-contiguous buffer copies
+            view=np.shares_memory(out_data, a.data),
         )
 
     def transpose(self, axes: tuple[int, ...] | None = None) -> "Tensor":
@@ -758,7 +535,7 @@ class Tensor:
             (a,),
             lambda g: (g.transpose(inverse),),
             "transpose",
-            replay=REPLAY_VIEW,
+            view=True,
         )
 
     def squeeze(self, axis: int) -> "Tensor":
@@ -773,7 +550,7 @@ class Tensor:
             (a,),
             lambda g: (np.expand_dims(g, axis),),
             "squeeze",
-            replay=REPLAY_VIEW,
+            view=True,
         )
 
     def expand_dims(self, axis: int) -> "Tensor":
@@ -784,7 +561,7 @@ class Tensor:
             (a,),
             lambda g: (np.squeeze(g, axis=axis),),
             "expand_dims",
-            replay=REPLAY_VIEW,
+            view=True,
         )
 
     def split(self, sections: int, axis: int = 0) -> list["Tensor"]:
@@ -813,26 +590,22 @@ class Tensor:
             (a,),
             lambda g: (np.swapaxes(g, ax1, ax2),),
             "swapaxes",
-            replay=REPLAY_VIEW,
+            view=True,
         )
 
     def __getitem__(self, index) -> "Tensor":
         """Basic and integer-array indexing with scatter-add backward."""
         a = self
-        out_data = np.asarray(a.data[index])
+        out_data = a.data[index]
 
         def vjp(g: np.ndarray):
             grad = np.zeros_like(a.data)
             np.add.at(grad, index, g)
             return (grad,)
 
-        # basic indexing yields a view; advanced (integer-array) indexing
-        # copies, so replay must re-gather into the captured buffer
-        if np.shares_memory(out_data, a.data):
-            replay = REPLAY_VIEW
-        else:
-            replay = lambda: np.copyto(out_data, a.data[index])
-        return Tensor._make(out_data, (a,), vjp, "getitem", replay=replay)
+        # basic indexing yields a view; advanced (integer-array) indexing copies
+        view = np.shares_memory(out_data, a.data)
+        return Tensor._make(out_data, (a,), vjp, "getitem", view=view)
 
     def pad2d(self, pad: int) -> "Tensor":
         """Zero-pad the trailing two (spatial) axes symmetrically."""
@@ -842,14 +615,7 @@ class Tensor:
         width = [(0, 0)] * (a.ndim - 2) + [(pad, pad), (pad, pad)]
         out_data = np.pad(a.data, width)
         sl = (Ellipsis, slice(pad, -pad), slice(pad, -pad))
-        interior = out_data[sl]  # padding stays zero; only refresh the core
-        return Tensor._make(
-            out_data,
-            (a,),
-            lambda g: (g[sl],),
-            "pad2d",
-            replay=lambda: np.copyto(interior, a.data),
-        )
+        return Tensor._make(out_data, (a,), lambda g: (g[sl],), "pad2d")
 
 
 # --------------------------------------------------------------------------
@@ -912,17 +678,7 @@ def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
             grads.append(g[tuple(sl)])
         return grads
 
-    slots = []
-    for t, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-        sl = [slice(None)] * data.ndim
-        sl[axis] = slice(start, stop)
-        slots.append((data[tuple(sl)], t))
-
-    def replay():
-        for slot, t in slots:
-            np.copyto(slot, t.data)
-
-    return Tensor._make(data, tuple(tensors), vjp, "concat", replay=replay)
+    return Tensor._make(data, tuple(tensors), vjp, "concat")
 
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -933,20 +689,14 @@ def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     def vjp(g: np.ndarray):
         return list(np.moveaxis(g, axis, 0))
 
-    lanes = list(np.moveaxis(data, axis, 0))
-
-    def replay():
-        for lane, t in zip(lanes, tensors):
-            np.copyto(lane, t.data)
-
-    return Tensor._make(data, tuple(tensors), vjp, "stack", replay=replay)
+    return Tensor._make(data, tuple(tensors), vjp, "stack")
 
 
 def where(condition: np.ndarray, a, b) -> Tensor:
     """Elementwise select; ``condition`` is a plain boolean array."""
     a, b = as_tensor(a), as_tensor(b)
     cond = np.asarray(condition, dtype=bool)
-    data = np.asarray(np.where(cond, a.data, b.data))
+    data = np.where(cond, a.data, b.data)
 
     def vjp(g: np.ndarray):
         return (
@@ -954,22 +704,14 @@ def where(condition: np.ndarray, a, b) -> Tensor:
             unbroadcast(np.where(cond, 0.0, g), b.shape),
         )
 
-    # ``cond`` is caller-supplied and captured as a graph constant; the
-    # compiler's first-replay validation catches captures where it varies
-    return Tensor._make(
-        data,
-        (a, b),
-        vjp,
-        "where",
-        replay=lambda: np.copyto(data, np.where(cond, a.data, b.data)),
-    )
+    return Tensor._make(data, (a, b), vjp, "where")
 
 
 def maximum(a, b) -> Tensor:
     """Elementwise max; ties send the full gradient to the first operand."""
     a, b = as_tensor(a), as_tensor(b)
-    take_a = np.asarray(a.data >= b.data)
-    data = np.asarray(np.where(take_a, a.data, b.data))
+    take_a = a.data >= b.data
+    data = np.where(take_a, a.data, b.data)
 
     def vjp(g: np.ndarray):
         return (
@@ -977,22 +719,14 @@ def maximum(a, b) -> Tensor:
             unbroadcast(np.where(take_a, 0.0, g), b.shape),
         )
 
-    def replay():
-        np.greater_equal(a.data, b.data, out=take_a)
-        np.copyto(data, np.where(take_a, a.data, b.data))
-
-    return Tensor._make(data, (a, b), vjp, "maximum", replay=replay)
+    return Tensor._make(data, (a, b), vjp, "maximum")
 
 
 def minimum(a, b) -> Tensor:
     """Elementwise min; ties send the full gradient to the first operand."""
     a, b = as_tensor(a), as_tensor(b)
-    take_a = np.asarray(a.data <= b.data)
-    data = np.asarray(np.where(take_a, a.data, b.data))
-
-    def replay():
-        np.less_equal(a.data, b.data, out=take_a)
-        np.copyto(data, np.where(take_a, a.data, b.data))
+    take_a = a.data <= b.data
+    data = np.where(take_a, a.data, b.data)
 
     def vjp(g: np.ndarray):
         return (
@@ -1000,4 +734,4 @@ def minimum(a, b) -> Tensor:
             unbroadcast(np.where(take_a, 0.0, g), b.shape),
         )
 
-    return Tensor._make(data, (a, b), vjp, "minimum", replay=replay)
+    return Tensor._make(data, (a, b), vjp, "minimum")

@@ -292,7 +292,6 @@ class ResilientTrainer(CheckpointedTrainer):
             loss_fn = installed
         elif loss_fn is None:
             loss_fn = model.loss
-        # never compiled: REPRO_COMPILE does not reach this trainer
         super().__init__(
             loss_fn,
             optimizer,
@@ -302,7 +301,6 @@ class ResilientTrainer(CheckpointedTrainer):
             grad_clip=grad_clip,
             obs=obs,
             metrics_every=metrics_every,
-            compiled=False,
             amp=amp,
             loss_scaler=loss_scaler,
         )

@@ -48,8 +48,6 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from repro.compile import CompiledStep
-from repro.compile.config import compiled_enabled
 from repro.obs import Obs
 from repro.obs.metrics import GRAD_NORM_BUCKETS
 from repro.optim.base import Optimizer
@@ -131,15 +129,6 @@ class Trainer:
         default) keeps end-of-run snapshots only.  With metrics disabled
         the flag is inert — the hot loop sees one hoisted integer and
         allocates nothing per iteration.
-    compiled:
-        Run steps through the trace-and-replay compiler
-        (:class:`repro.compile.CompiledStep`): capture the step graph
-        once, replay it bit-identically with preallocated buffers, and
-        transparently recapture on any fallback (shape/dtype change,
-        parameter surgery).  ``None`` (the default) follows the global
-        :func:`repro.tensor.use_compiled` / ``REPRO_COMPILE`` switch;
-        an explicit bool overrides it.  ``compile/*`` counters land in
-        the obs metrics registry when one is attached.
     amp:
         Emulated mixed-precision training (:mod:`repro.tensor.amp`):
         the forward pass runs under :func:`~repro.tensor.amp.autocast`
@@ -150,9 +139,7 @@ class Trainer:
         *skipped* (scale backs off, the schedule marches on) — never
         clipped.  ``None`` (the default) follows the global
         :func:`repro.tensor.use_amp` / ``REPRO_AMP`` switch; an explicit
-        bool overrides it.  AMP is incompatible with graph capture, so
-        a ``compiled`` trainer never defaults AMP on (requesting both
-        explicitly raises).
+        bool overrides it.
     loss_scaler:
         The scaler to use under ``amp`` (a default-configured
         :class:`DynamicLossScaler` is created when omitted).  May also
@@ -171,25 +158,13 @@ class Trainer:
         callbacks: list | None = None,
         obs: Obs | None = None,
         metrics_every: int = 0,
-        compiled: bool | None = None,
         amp: bool | None = None,
         loss_scaler: DynamicLossScaler | None = None,
     ) -> None:
         if metrics_every < 0:
             raise ValueError("metrics_every must be >= 0")
-        if amp and compiled:
-            raise ValueError(
-                "amp=True is incompatible with compiled=True: autocast "
-                "replaces op output buffers, breaking in-place replay"
-            )
-        if compiled is None:
-            # an explicit amp=True wins over the REPRO_COMPILE default
-            compiled = compiled_enabled() and not amp
         if amp is None:
-            # a compiled trainer keeps the REPRO_AMP default off
-            amp = amp_enabled() and not compiled
-        if compiled and not isinstance(loss_fn, CompiledStep):
-            loss_fn = CompiledStep(loss_fn)
+            amp = amp_enabled()
         self.loss_fn = loss_fn
         self.optimizer = optimizer
         self.schedule = schedule
@@ -238,13 +213,6 @@ class Trainer:
     def _loop(self, epochs: int, log_every: int, resume: bool) -> TrainResult:
         obs = self.obs
         mreg = obs.metrics if obs is not None else None
-        if (
-            mreg is not None
-            and isinstance(self.loss_fn, CompiledStep)
-            and self.loss_fn.metrics is None
-        ):
-            # route compile/* counters into this run's registry
-            self.loss_fn.metrics = mreg
         # hoisted so the disabled path costs one int compare per iteration
         sample_every = self.metrics_every if mreg is not None else 0
         span = self._span

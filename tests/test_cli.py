@@ -188,12 +188,6 @@ class TestAdaptiveBatch:
         ) == 2
         assert "owns the batch size" in capsys.readouterr().err
 
-    def test_adaptive_rejects_compile(self, capsys):
-        assert main(
-            ["train", "mnist", "--adaptive-batch", "--compile"]
-        ) == 2
-        assert "recapture" in capsys.readouterr().err
-
     def test_adaptive_rejects_fault_injection(self, capsys, tmp_path):
         assert main(
             ["train", "mnist", "--adaptive-batch", "--fault-rate", "0.1",

@@ -1,74 +1,16 @@
-"""Contiguous stateful LM batching + length-bucketed translation batches."""
+"""Length-bucketed translation batches."""
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 
 from repro.data import (
-    ContiguousLMIterator,
-    MarkovLanguageSource,
     PaddedBatchIterator,
     TranslationTask,
     Vocab,
     make_translation_dataset,
-    stateful_perplexity,
 )
 from repro.data.vocab import BOS, EOS, PAD
-from repro.models import PTBLanguageModel
-
-
-class TestContiguousLMIterator:
-    def test_streams_are_contiguous(self):
-        corpus = np.arange(101)
-        it = ContiguousLMIterator(corpus, batch_size=2, seq_len=5)
-        first_inputs, first_targets, is_first = next(iter(it))
-        assert is_first
-        # stream 0 starts at token 0, stream 1 at the split point (50)
-        assert first_inputs[0].tolist() == [0, 1, 2, 3, 4]
-        assert first_inputs[1].tolist() == [50, 51, 52, 53, 54]
-        # targets are inputs shifted by one within each stream
-        assert first_targets[0].tolist() == [1, 2, 3, 4, 5]
-
-    def test_windows_advance_in_lockstep(self):
-        corpus = np.arange(101)
-        batches = list(ContiguousLMIterator(corpus, 2, 5))
-        second_inputs = batches[1][0]
-        assert second_inputs[0].tolist() == [5, 6, 7, 8, 9]
-        assert not batches[1][2]  # not the first window
-
-    def test_steps_per_epoch(self):
-        it = ContiguousLMIterator(np.arange(101), 2, 5)
-        assert it.steps_per_epoch == len(list(it)) == 10
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ContiguousLMIterator(np.arange(6), batch_size=2, seq_len=5)
-        with pytest.raises(ValueError):
-            ContiguousLMIterator(np.zeros((2, 3)), 1, 1)
-        with pytest.raises(ValueError):
-            ContiguousLMIterator(np.arange(100), 0, 5)
-
-
-class TestStatefulPerplexity:
-    def test_matches_stateless_direction(self):
-        """Stateful eval of a trained-ish model stays in a sane range and
-        never exceeds the stateless one by much (state can only help on a
-        Markov source)."""
-        source = MarkovLanguageSource(30, rng=0)
-        corpus = source.sample(3000, rng=1)
-        model = PTBLanguageModel(30, rng=2, embed_dim=16, hidden=16)
-        ppl = stateful_perplexity(model, corpus, batch_size=4, seq_len=10)
-        # untrained: near uniform over 30 tokens
-        assert 15.0 < ppl < 45.0
-
-    def test_deterministic(self):
-        source = MarkovLanguageSource(20, rng=0)
-        corpus = source.sample(1000, rng=1)
-        model = PTBLanguageModel(20, rng=2, embed_dim=8, hidden=8)
-        a = stateful_perplexity(model, corpus, 2, 10)
-        b = stateful_perplexity(model, corpus, 2, 10)
-        assert a == b
 
 
 class TestBucketedBatches:

@@ -45,15 +45,6 @@ class TestTrainingExamples:
         assert "B_noise" in out
         assert "noise-dominated" in out
 
-    def test_compiled_step(self, capsys):
-        out = run_example("compiled_step.py", capsys)
-        # the example's own assert already enforces compiled == fused
-        # bitwise; here we just check all three paths reported a time
-        assert "reference        :" in out
-        assert "fused            :" in out
-        assert "fused + compiled :" in out
-        assert "compiled == fused bitwise" in out
-
     def test_resilient_training(self, capsys):
         out = run_example("resilient_training.py", capsys)
         # the acceptance bar: nonzero fault/recovery counters AND a final

@@ -11,18 +11,11 @@ once:
   miss), and
 * fused/reference drift beyond round-off accumulation.
 
-The compiled path (trace-and-replay, :mod:`repro.compile`) has its own
-fixture, ``golden_mnist_lstm_compiled.json``, recorded from a compiled
-run — and a stronger cross-check: the compiled trajectory must equal the
-eager one *bit for bit*, not merely within tolerance, because replay is
-the same arithmetic into preallocated buffers.
-
 Regenerate after an *intentional* change with::
 
     PYTHONPATH=src python tests/test_golden_run.py --regen
 
-(regeneration uses the reference path for the eager fixture and the
-compiled reference path for the compiled fixture).
+(regeneration always uses the reference path).
 """
 
 from __future__ import annotations
@@ -33,7 +26,6 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.compile import CompiledStep
 from repro.nn import LSTM, Linear
 from repro.nn.module import Module
 from repro.optim.sgd import Momentum
@@ -41,9 +33,6 @@ from repro.tensor import Tensor, cross_entropy, fused_kernels
 from repro.utils.rng import spawn
 
 FIXTURE = Path(__file__).parent / "fixtures" / "golden_mnist_lstm.json"
-FIXTURE_COMPILED = (
-    Path(__file__).parent / "fixtures" / "golden_mnist_lstm_compiled.json"
-)
 
 # small MNIST-shaped stand-in: 8x8 "images" as 8-step rows, 10 classes
 SEQ_LEN, INPUT, HIDDEN, CLASSES = 8, 8, 12, 10
@@ -62,23 +51,17 @@ class _TinyMNISTLSTM(Module):
         return self.head(out[-1])
 
 
-def _run_golden(compiled: bool = False) -> dict:
+def _run_golden() -> dict:
     """Train 30 steps on seeded synthetic data; return the trajectory."""
     data_rng = np.random.default_rng(SEED)
     model = _TinyMNISTLSTM(np.random.default_rng(SEED + 1))
     opt = Momentum(model.named_parameters(), lr=LR)
-
-    def loss_fn(batch):
-        x, y = batch
-        return cross_entropy(model(Tensor(x)), y)
-
-    step = CompiledStep(loss_fn) if compiled else loss_fn
     losses, grad_norms = [], []
     for _ in range(STEPS):
         x = data_rng.standard_normal((SEQ_LEN, BATCH, INPUT))
         y = data_rng.integers(0, CLASSES, size=BATCH)
         opt.zero_grad()
-        loss = step((x, y))
+        loss = cross_entropy(model(Tensor(x)), y)
         loss.backward()
         sq = 0.0
         for _, p in model.named_parameters():
@@ -86,7 +69,7 @@ def _run_golden(compiled: bool = False) -> dict:
         losses.append(float(loss.data))
         grad_norms.append(float(np.sqrt(sq)))
         opt.step()
-    out = {
+    return {
         "config": {
             "seq_len": SEQ_LEN, "input": INPUT, "hidden": HIDDEN,
             "classes": CLASSES, "batch": BATCH, "steps": STEPS,
@@ -95,12 +78,6 @@ def _run_golden(compiled: bool = False) -> dict:
         "loss": losses,
         "grad_norm": grad_norms,
     }
-    if compiled:
-        # the run must actually have exercised the replay machinery, or
-        # this "compiled golden" silently degrades into the eager test
-        assert len(step.plans) == 1
-        out["config"]["compiled"] = True
-    return out
 
 
 @pytest.fixture(scope="module")
@@ -138,41 +115,6 @@ def test_paths_agree_with_each_other():
     np.testing.assert_allclose(ref["grad_norm"], fus["grad_norm"], rtol=1e-9)
 
 
-@pytest.fixture(scope="module")
-def golden_compiled() -> dict:
-    if not FIXTURE_COMPILED.exists():  # pragma: no cover - regen instructions
-        pytest.fail(
-            f"missing fixture {FIXTURE_COMPILED}; regenerate with "
-            "`PYTHONPATH=src python tests/test_golden_run.py --regen`"
-        )
-    return json.loads(FIXTURE_COMPILED.read_text())
-
-
-@pytest.mark.parametrize("fused_flag", [False, True], ids=["reference", "fused"])
-def test_compiled_trajectory_matches_fixture(golden_compiled, fused_flag):
-    with fused_kernels(fused_flag):
-        got = _run_golden(compiled=True)
-    assert got["config"] == golden_compiled["config"]
-    np.testing.assert_allclose(
-        got["loss"], golden_compiled["loss"], rtol=1e-6, atol=1e-9,
-        err_msg="compiled loss series drifted from the golden run",
-    )
-    np.testing.assert_allclose(
-        got["grad_norm"], golden_compiled["grad_norm"], rtol=1e-6, atol=1e-9,
-        err_msg="compiled grad-norm series drifted from the golden run",
-    )
-
-
-@pytest.mark.parametrize("fused_flag", [False, True], ids=["reference", "fused"])
-def test_compiled_is_bit_exact_vs_eager(fused_flag):
-    """Replay is the same arithmetic: not close — *equal*."""
-    with fused_kernels(fused_flag):
-        eager = _run_golden(compiled=False)
-        comp = _run_golden(compiled=True)
-    assert eager["loss"] == comp["loss"]
-    assert eager["grad_norm"] == comp["grad_norm"]
-
-
 def test_state_dicts_interchangeable():
     """A checkpoint written on one path loads and continues on the other."""
     with fused_kernels(True):
@@ -188,48 +130,6 @@ def test_state_dicts_interchangeable():
         assert np.array_equal(p1.data, p2.data)
 
 
-def test_state_dicts_interchangeable_eager_fused_compiled():
-    """Eager ↔ fused ↔ compiled: one checkpoint, three execution modes.
-
-    Train a model a few steps through the compiler, checkpoint it, load
-    it into fresh models, and continue one identical step on the eager,
-    fused, and compiled paths — all three must produce the same loss.
-    """
-    data_rng = np.random.default_rng(99)
-    xs = [data_rng.standard_normal((SEQ_LEN, BATCH, INPUT)) for _ in range(6)]
-    ys = [data_rng.integers(0, CLASSES, size=BATCH) for _ in range(6)]
-
-    model = _TinyMNISTLSTM(np.random.default_rng(100))
-    opt = Momentum(model.named_parameters(), lr=LR)
-    step = CompiledStep(lambda b: cross_entropy(model(Tensor(b[0])), b[1]))
-    for x, y in zip(xs[:5], ys[:5]):
-        opt.zero_grad()
-        loss = step((x, y))
-        loss.backward()
-        opt.step()
-    sd = model.state_dict()
-
-    def one_more_step(compiled, fused_flag):
-        with fused_kernels(fused_flag):
-            m = _TinyMNISTLSTM(np.random.default_rng(101))
-            m.load_state_dict(sd)
-            fn = lambda b: cross_entropy(m(Tensor(b[0])), b[1])
-            if compiled:
-                fn = CompiledStep(fn)
-                fn((xs[4], ys[4]))  # capture on a warm batch first
-            return float(fn((xs[5], ys[5])).data)
-
-    results = {
-        "eager": one_more_step(False, False),
-        "fused": one_more_step(False, True),
-        "compiled": one_more_step(True, False),
-        "compiled+fused": one_more_step(True, True),
-    }
-    assert results["eager"] == results["compiled"]
-    assert results["fused"] == results["compiled+fused"]
-    np.testing.assert_allclose(results["eager"], results["fused"], rtol=1e-9)
-
-
 if __name__ == "__main__":
     import sys
 
@@ -237,10 +137,7 @@ if __name__ == "__main__":
         FIXTURE.parent.mkdir(parents=True, exist_ok=True)
         with fused_kernels(False):
             data = _run_golden()
-            data_compiled = _run_golden(compiled=True)
         FIXTURE.write_text(json.dumps(data, indent=2) + "\n")
         print(f"wrote {FIXTURE}")
-        FIXTURE_COMPILED.write_text(json.dumps(data_compiled, indent=2) + "\n")
-        print(f"wrote {FIXTURE_COMPILED}")
     else:
         print(__doc__)

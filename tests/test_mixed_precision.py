@@ -28,6 +28,7 @@ from repro.tensor import (
     bf16_roundtrip,
     cross_entropy,
     fp16_roundtrip,
+    fused,
     quantize_fp16_stochastic,
 )
 from repro.train import Trainer
@@ -46,6 +47,33 @@ def make_linear_problem(rng, n=64, d=4, classes=3):
         return cross_entropy(model(Tensor(xb)), yb)
 
     return ds, model, loss_fn
+
+
+def _fused_lstm(a: Tensor):
+    """The fused LSTM layer over ``a`` as a (T=1, B=2, D=3) sequence."""
+    h0 = Tensor(np.zeros((2, 2)))
+    kernel = Tensor(np.linspace(-1.0, 1.0, 5 * 8).reshape(5, 8))
+    bias = Tensor(np.zeros(8))
+    return fused.lstm_layer(a.reshape((1, 2, 3)), h0, h0, kernel, bias, 2)
+
+
+# every op whose output is a view of its parent: autocast must not round it
+_VIEW_SITES = {
+    "reshape": lambda a: a.reshape((3, 2)),
+    "transpose": lambda a: a.reshape((2, 3)).transpose(),
+    "squeeze": lambda a: a.reshape((1, 6)).squeeze(0),
+    "expand_dims": lambda a: a.expand_dims(0),
+    "swapaxes": lambda a: a.reshape((2, 3)).swapaxes(0, 1),
+    "getitem": lambda a: a[1:4],
+    "fused_lstm_out_range": lambda a: _fused_lstm(a)[0],
+    "fused_lstm_out_slice": lambda a: _fused_lstm(a)[1],
+}
+
+# ops that copy: their outputs land on the fp16 grid
+_COPY_SITES = {
+    "reshape_noncontiguous": lambda a: a.reshape((2, 3)).transpose().reshape(-1),
+    "advanced_getitem": lambda a: a[np.array([0, 2, 4])],
+}
 
 
 # -- non-finite gradient clipping (the bugfix this PR is named for) ----------
@@ -140,11 +168,27 @@ class TestQuantizers:
             out = a * 3.0
         assert np.array_equal(out.data, fp16_roundtrip(a.data * 3.0))
 
-    def test_autocast_leaves_views_sharing_storage(self):
-        a = Tensor(np.arange(6, dtype=np.float64))
+    @pytest.mark.parametrize(
+        "make", list(_VIEW_SITES.values()), ids=list(_VIEW_SITES)
+    )
+    def test_autocast_leaves_views_sharing_storage(self, make):
+        a = Tensor(np.arange(1, 7, dtype=np.float64) / 3.0, requires_grad=True)
         with autocast():
-            v = a.reshape((2, 3))
-        assert np.shares_memory(v.data, a.data)
+            v = make(a)
+        assert np.shares_memory(v.data, v._parents[0].data)
+
+    @pytest.mark.parametrize(
+        "make", list(_COPY_SITES.values()), ids=list(_COPY_SITES)
+    )
+    def test_autocast_rounds_copies(self, make):
+        a = Tensor(np.arange(1, 7, dtype=np.float64) / 3.0, requires_grad=True)
+        with autocast():
+            out = make(a)
+        with autocast(False):
+            exact = make(a)
+        assert not np.shares_memory(out.data, a.data)
+        assert not np.array_equal(out.data, exact.data)
+        assert np.array_equal(out.data, fp16_roundtrip(exact.data))
 
     def test_autocast_off_is_exact(self):
         a = Tensor(np.array([1.0000001]))
@@ -234,15 +278,6 @@ class TestAmpTrainer:
                         assert not np.any(v), (n, k)
         assert scaler.scale < 2.0**15  # backed off, never clipped/applied
         assert result.epochs_completed == 1
-
-    def test_amp_and_compile_both_explicit_rejected(self, rng):
-        ds, model, loss_fn = make_linear_problem(rng)
-        it = BatchIterator(ds, 16, rng=1)
-        with pytest.raises(ValueError):
-            Trainer(
-                loss_fn, SGD(model, lr=0.1), ConstantLR(0.1), it,
-                amp=True, compiled=True,
-            )
 
 
 # -- fp32 master weights -----------------------------------------------------

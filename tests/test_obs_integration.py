@@ -8,13 +8,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.compile import (
-    COMPILED_LABEL_PREFIX,
-    LABEL_TABLE,
-    CompiledLoss,
-    CompiledStep,
-    compiled_label,
-)
 from repro.data import ArrayDataset, BatchIterator
 from repro.nn import LSTM, Linear
 from repro.obs import MetricsRegistry, Obs, activated
@@ -227,66 +220,6 @@ class TestFusedKernelProfile:
                 prof.detach()
         assert prof.forward["fused_lstm_cell"].calls == 5
         assert "fused_lstm_layer" not in prof.forward
-
-
-class TestCompiledReplayProfile:
-    """Label contract for the trace-and-replay compiler: capture runs
-    through ``Tensor._make`` and keeps the stable eager labels; replayed
-    nodes bypass the hook and report as ``compiled_<op>`` instead."""
-
-    @staticmethod
-    def _lstm_problem():
-        rng = np.random.default_rng(5)
-        lstm = LSTM(4, 6, num_layers=1, rng=0)
-        head = Linear(6, 3, rng=1)
-
-        def loss_fn(batch):
-            x, y = batch
-            out, _ = lstm(Tensor(x))
-            return cross_entropy(head(out[-1]), y)
-
-        def batch():
-            return rng.standard_normal((5, 2, 4)), rng.integers(0, 3, size=2)
-
-        return loss_fn, batch
-
-    def test_capture_keeps_stable_eager_labels(self):
-        loss_fn, batch = self._lstm_problem()
-        step = CompiledStep(loss_fn, validate=False)
-        prof = Obs(profile=True).profiler
-        with fused_kernels(True), prof.attached_to_engine():
-            step(batch())  # first call: eager capture under the recorder
-        assert "fused_lstm_layer" in prof.forward
-        assert "fused_softmax_xent" in prof.forward
-        assert not any(op.startswith(COMPILED_LABEL_PREFIX) for op in prof.forward)
-
-    def test_replay_reports_compiled_labels(self):
-        loss_fn, batch = self._lstm_problem()
-        step = CompiledStep(loss_fn, validate=False)
-        with fused_kernels(True):
-            step(batch())  # capture, unprofiled
-            prof = Obs(profile=True).profiler
-            with prof.attached_to_engine():
-                loss = step(batch())  # replay
-        assert isinstance(loss, CompiledLoss)
-        assert prof.forward  # the replay did report per-node stats
-        assert all(op.startswith(COMPILED_LABEL_PREFIX) for op in prof.forward)
-        assert "compiled_fused_lstm_layer" in prof.forward
-        assert "compiled_fused_softmax_xent" in prof.forward
-        assert prof.forward["compiled_fused_lstm_layer"].calls == 1
-        assert prof.forward["compiled_fused_lstm_layer"].elements > 0
-
-    def test_label_table_pins_the_contract(self):
-        for op, label in LABEL_TABLE.items():
-            assert label == COMPILED_LABEL_PREFIX + op
-        for op in (
-            "matmul", "cross_entropy", "dropout", "conv2d",
-            "fused_lstm_layer", "fused_softmax_xent",
-        ):
-            assert op in LABEL_TABLE
-        assert compiled_label("matmul") == "compiled_matmul"
-        # ops outside the table still map deterministically
-        assert compiled_label("some_future_op") == "compiled_some_future_op"
 
 
 class TestCliObservability:

@@ -43,7 +43,7 @@ def _train(kind, wl, batch, seed, tmp_path):
     if kind == "trainer":
         trainer = Trainer(
             model.loss, optimizer, schedule, wl.make_train_iter(batch, seed + 1),
-            grad_clip=wl.grad_clip, compiled=False, amp=False,
+            grad_clip=wl.grad_clip, amp=False,
         )
     elif kind == "resilient":
         trainer = ResilientTrainer(
@@ -186,7 +186,7 @@ def _build(kind, tmp_path, train, *, fault=None, make_iter=None, **kwargs):
     if kind == "trainer":
         return Trainer(
             loss_fn, optimizer, schedule, make_iter(8, 1),
-            compiled=False, amp=kwargs.pop("amp", False), **kwargs,
+            amp=kwargs.pop("amp", False), **kwargs,
         )
     if kind == "resilient":
         return ResilientTrainer(

@@ -1,67 +1,10 @@
-"""Extension schedules: cosine/linear decay and grow-batch."""
+"""Extension schedule: grow-batch."""
 
 from __future__ import annotations
 
-import math
-
-import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
-from repro.schedules import (
-    CosineDecay,
-    GradualWarmup,
-    GrowBatchSchedule,
-    LinearDecay,
-)
-
-
-class TestCosineDecay:
-    def test_endpoints(self):
-        s = CosineDecay(2.0, total_iterations=100, min_lr=0.2)
-        assert s(0) == pytest.approx(2.0)
-        assert s(100) == pytest.approx(0.2)
-        assert s(10_000) == pytest.approx(0.2)
-
-    def test_midpoint(self):
-        s = CosineDecay(1.0, 100)
-        assert s(50) == pytest.approx(0.5)
-
-    def test_monotone_decreasing(self):
-        s = CosineDecay(1.0, 64)
-        series = s.series(64)
-        assert all(a >= b for a, b in zip(series, series[1:]))
-
-    def test_composes_with_warmup(self):
-        s = GradualWarmup(CosineDecay(1.0, 100), 10)
-        assert s(0) < s(9) <= 1.0
-        assert s(50) == pytest.approx(CosineDecay(1.0, 100)(50))
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            CosineDecay(1.0, 0)
-        with pytest.raises(ValueError):
-            CosineDecay(1.0, 10, min_lr=2.0)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.floats(0.01, 5.0), st.integers(2, 500), st.integers(0, 600))
-    def test_bounded(self, base, total, i):
-        s = CosineDecay(base, total)
-        assert 0.0 <= s(i) <= base + 1e-12
-
-
-class TestLinearDecay:
-    def test_line(self):
-        s = LinearDecay(1.0, 10, min_lr=0.0)
-        for i in range(11):
-            assert s(i) == pytest.approx(1.0 - i / 10)
-
-    def test_clamps(self):
-        assert LinearDecay(1.0, 10)(99) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            LinearDecay(1.0, 0)
+from repro.schedules import GrowBatchSchedule
 
 
 class TestGrowBatchSchedule:
