@@ -23,21 +23,18 @@ root; ``REPRO_BENCH_SMOKE=1`` runs shorter budgets and skips the write.
 
 from __future__ import annotations
 
-import os
 import pathlib
 import shutil
 import tempfile
 
 import numpy as np
-from conftest import better, merge_bench_json, save_result
+from conftest import SMOKE, better, merge_bench_json, save_result
 
 from repro.adapt import OnlineNoiseScale, probe_batch_fn
 from repro.analysis.noise_scale import estimate_noise_scale
 from repro.experiments import build_workload
 from repro.parallel.cluster import SimCluster
 from repro.parallel.perfmodel import DeviceModel
-
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
 EPOCHS = 10 if SMOKE else 18
 STEP_REDUCTION_TARGET = 0.20  # adaptive must save >= 20% of optimizer steps

@@ -21,11 +21,10 @@ timing gate, keeping CI off shared-runner timing.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
-from conftest import save_result
+from conftest import SMOKE, save_result
 
 from repro.models import MnistLSTMClassifier
 from repro.parallel.buckets import GradientBuckets
@@ -35,7 +34,6 @@ from repro.parallel.cost import CommModel
 WORKERS = 4
 BATCH = 64
 ROUNDS = 8
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 # the bucketed step may not cost more than this multiple of monolithic
 STEP_TIME_BUDGET = 1.5
 BUCKET_MBS = (0.5, 2.0, 8.0)

@@ -17,11 +17,10 @@ gating CI on shared-runner timing.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
-from conftest import save_result
+from conftest import SMOKE, save_result
 
 from repro.nn import LSTM, Linear
 from repro.nn.module import Module
@@ -32,7 +31,6 @@ from repro.utils.rng import spawn
 SEQ_LEN, INPUT, HIDDEN, CLASSES = 28, 28, 128, 10  # paper MNIST-LSTM
 BATCH = 256
 ROUNDS = 12
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 TARGET = 1.5
 
 

@@ -32,11 +32,10 @@ full-size runs.
 
 from __future__ import annotations
 
-import os
 import pathlib
 
 import numpy as np
-from conftest import merge_bench_json, save_result
+from conftest import SMOKE, merge_bench_json, save_result
 
 from repro.experiments import build_workload
 from repro.models import MnistLSTMClassifier
@@ -48,7 +47,6 @@ WORKERS = 4
 BATCH = 64
 BUCKET_MB = 0.02  # small cap => several buckets per step
 ALGORITHM = "ring"
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 
 BYTES_TARGET = 1.8  # fp16 wire vs fp32 wire (raw ratio is exactly 2.0)
 OVERLAP_COMM_TARGET = 1.8  # timeline allreduce-time ratio on a fat link

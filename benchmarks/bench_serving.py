@@ -55,12 +55,11 @@ shared-runner timing.
 
 from __future__ import annotations
 
-import os
 import pathlib
 import time
 
 import numpy as np
-from conftest import merge_bench_json, save_result
+from conftest import SMOKE, merge_bench_json, save_result
 
 from repro.models import MnistLSTMClassifier
 from repro.serve import (
@@ -75,7 +74,6 @@ from repro.serve import (
 from repro.utils.checkpoint import CheckpointManager
 
 SEQ_LEN, INPUT, HIDDEN = 28, 28, 32  # paper timesteps, overhead-bound cell
-SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
 TARGET_SPEEDUP = 3.0
 OFFERED_FACTOR = 3.5  # open-loop rate relative to the sequential ceiling
 MAX_BATCH = 64

@@ -4,20 +4,28 @@ Each bench regenerates one table/figure of the paper via its experiment
 driver, saves the rendered text to ``benchmarks/results/`` (so the
 artifacts survive pytest's output capture), and asserts the *shape* of the
 result — who wins, roughly by what factor — never absolute numbers.
+
+``REPRO_BENCH_SMOKE=1`` (the CI ``bench-smoke`` job) runs the benches that
+read :data:`SMOKE` on short budgets without their timing gates; a smoke
+run prints its results but writes no artifact.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import pathlib
 
 RESULTS_DIR = pathlib.Path(__file__).parent / "results"
 
+SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
+
 
 def save_result(name: str, text: str) -> None:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
+    if not SMOKE:
+        RESULTS_DIR.mkdir(exist_ok=True)
+        (RESULTS_DIR / f"{name}.txt").write_text(text + "\n")
     print(f"\n{text}\n")
 
 

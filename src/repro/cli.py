@@ -31,10 +31,10 @@ sparkline time series, span flame summary, health events — as markdown,
 or HTML when FILE ends in ``.html``).  All default to off, which keeps
 the run on the exact uninstrumented code path.
 
-Both commands also take ``--fused`` / ``--no-fused`` (docs/fused_kernels.md)
-to pick between the fused hot-path kernels and the reference engine; with
-neither flag the ``REPRO_FUSED`` environment setting (default: reference)
-applies.
+``experiment``, ``train`` and ``serve-bench`` also take ``--fused`` /
+``--no-fused`` (docs/fused_kernels.md) to pick between the fused hot-path
+kernels and the reference engine; with neither flag the ``REPRO_FUSED``
+environment setting applies, and with that unset the fused kernels run.
 
 ``train`` accepts the data-parallel flags (docs/parallel.md): ``--workers P``
 shards every batch across ``P`` workers with gradients reduced through
@@ -76,7 +76,7 @@ from repro.obs import Obs
 from repro.parallel.allreduce import ALGORITHMS
 from repro.parallel.buckets import DEFAULT_BUCKET_MB
 from repro.tensor.amp import use_amp
-from repro.tensor.fused import use_fused
+from repro.tensor.fused import fused_enabled, use_fused
 from repro.utils.ascii_plot import line_chart
 
 WORKLOADS = ("mnist", "ptb_small", "ptb_large", "gnmt", "resnet")
@@ -95,7 +95,7 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
         "--fused", action=argparse.BooleanOptionalAction, default=None,
         help="run with fused hot-path kernels (--no-fused forces the "
              "reference engine; default: the REPRO_FUSED environment "
-             "setting, i.e. off)",
+             "setting, on when unset)",
     )
     parser.add_argument(
         "--amp", action=argparse.BooleanOptionalAction, default=None,
@@ -677,13 +677,10 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     _apply_engine_flags(args)
     wl = build_workload(args.workload, args.preset)
     task = SERVE_TASKS[args.workload]
-    # serving defaults to the fused kernels (forward parity, no autodiff
-    # tape); --no-fused still selects the reference engine
-    fused = True if args.fused is None else bool(args.fused)
     if args.quantize is not None and task != "mnist":
         print("--quantize int8 supports the mnist task only", file=sys.stderr)
         return 2
-    eng_kwargs = dict(fused=fused, quantize=args.quantize)
+    eng_kwargs = dict(fused=fused_enabled(), quantize=args.quantize)
     model = wl.make_model(args.seed)
     manager = None
     if args.snapshot is not None:

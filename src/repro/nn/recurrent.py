@@ -195,10 +195,12 @@ class LSTM(Module):
         self,
         x: Tensor,
         initial_states: list[tuple[Tensor, Tensor]] | None,
+        mask: np.ndarray | None,
     ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
         """Full-sequence fused path: one ``fused_lstm_layer`` node per
-        direction per layer, with residual/dropout applied to whole
-        ``(T, B, H)`` tensors.
+        direction per layer, padded batches included (the kernel applies
+        ``mask`` inside its time loop), with residual/dropout applied to
+        whole ``(T, B, H)`` tensors.
 
         The inter-layer dropout masks are drawn in one ``(T, B, H)`` call,
         which consumes the generator stream exactly like the reference
@@ -215,14 +217,15 @@ class LSTM(Module):
                 h0, c0 = cell.zero_state(batch)
             layer_input = seq
             out, h_f, c_f = lstm_layer(
-                seq, h0, c0, cell.kernel, cell.bias, self.hidden_size
+                seq, h0, c0, cell.kernel, cell.bias, self.hidden_size,
+                mask=mask,
             )
             if layer == 0 and self.backward_cell is not None:
                 bwd = self.backward_cell
                 bh0, bc0 = bwd.zero_state(batch)
                 bwd_out, _, _ = lstm_layer(
                     seq, bh0, bc0, bwd.kernel, bwd.bias, self.hidden_size,
-                    reverse=True,
+                    reverse=True, mask=mask,
                 )
                 out = concat([out, bwd_out], axis=2)
             if self.residual_start is not None and layer >= self.residual_start:
@@ -250,17 +253,15 @@ class LSTM(Module):
         suppressed in *both* directions, so padding never contaminates
         valid states (the property the GNMT attention tests pin down).
 
-        With ``repro.tensor.use_fused`` on, unmasked batches run through
-        :func:`repro.tensor.fused.lstm_layer` (one graph node per direction
-        per layer); masked/ragged batches keep the per-step loop, whose
-        cell steps still use the fused cell kernel.
+        With ``repro.tensor.use_fused`` on (the default), every batch,
+        masked or not, runs through :func:`repro.tensor.fused.lstm_layer`:
+        one graph node per direction per layer.  The per-step loop below
+        is the reference engine's path.
 
         Returns the top layer's output sequence (T, B, H·dirs) and the final
         ``(h, c)`` per layer (forward-direction state for the bidirectional
         layer).
         """
-        if fused_enabled() and mask is None:
-            return self._forward_fused(x, initial_states)
         seq_len, batch = x.shape[0], x.shape[1]
         if mask is not None:
             mask = np.asarray(mask, dtype=np.float64)
@@ -268,6 +269,8 @@ class LSTM(Module):
                 raise ValueError(
                     f"mask shape {mask.shape} != (T, B) = {(seq_len, batch)}"
                 )
+        if fused_enabled():
+            return self._forward_fused(x, initial_states, mask)
         steps = [x[t] for t in range(seq_len)]
         final_states: list[tuple[Tensor, Tensor]] = []
         for layer, cell in enumerate(self.cells):

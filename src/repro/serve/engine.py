@@ -54,7 +54,8 @@ class InferenceEngine:
         One of :data:`TASKS`; selects the head ``predict`` dispatches to.
     fused:
         Run forwards with the fused hot-path kernels (default on — the
-        fused forward is bit-identical to the reference path, see
+        fused forward agrees with the reference path to float64
+        round-off, padded GNMT batches included, see
         docs/fused_kernels.md).
     version:
         The checkpoint step these weights correspond to (0 for a fresh

@@ -17,11 +17,12 @@ classic tape-free graph approach:
 Correctness of every op is established against central finite differences
 by :func:`repro.tensor.gradcheck.gradcheck` in the test suite.
 
-The hot paths (LSTM cell step, softmax cross-entropy, LayerNorm, SGD
-updates) additionally have fused single-node kernels in
-:mod:`repro.tensor.fused`, switched globally with :func:`use_fused` (or
-the ``REPRO_FUSED`` environment variable) and property-tested against
-the reference graphs in ``tests/test_fused_parity.py``.
+The hot paths (LSTM cell step and layer, softmax cross-entropy,
+LayerNorm, SGD updates) additionally have fused single-node kernels in
+:mod:`repro.tensor.fused`.  They are the default; :func:`use_fused` (or
+``REPRO_FUSED=0`` in the environment) switches globally to the reference
+graphs, which ``tests/test_fused_parity.py`` property-tests them
+against.
 
 Emulated mixed precision (:mod:`repro.tensor.amp`) rounds op outputs to
 the float16 grid inside :func:`autocast`; view ops are exempt, so a

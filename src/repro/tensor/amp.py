@@ -16,8 +16,9 @@ Three pieces live here:
   with unbiased stochastic rounding (used by the wire-compression
   ablation in :mod:`repro.parallel.buckets`).
 
-* **The global AMP switch** — mirrors the fused-kernel switch:
-  ``REPRO_AMP=1`` in the environment, :func:`use_amp` to flip it at
+* **The global AMP switch** — built like the fused-kernel switch but
+  off by default: ``REPRO_AMP=1`` in the environment (read by
+  :func:`repro.tensor.env.env_flag`), :func:`use_amp` to flip it at
   runtime, :func:`amp_enabled` to read it, and the
   :func:`mixed_precision` context manager for scoped tests.  The switch
   is the *default* for ``Trainer(amp=...)``; it does not by itself
@@ -37,9 +38,10 @@ Three pieces live here:
 from __future__ import annotations
 
 import contextlib
-import os
 
 import numpy as np
+
+from repro.tensor.env import env_flag
 
 __all__ = [
     "fp16_roundtrip",
@@ -125,15 +127,10 @@ def quantize_fp16_stochastic(
 
 
 # --------------------------------------------------------------------------
-# the global AMP switch (mirrors REPRO_FUSED)
+# the global AMP switch
 # --------------------------------------------------------------------------
 
-_AMP_ENABLED = os.environ.get("REPRO_AMP", "").strip().lower() not in (
-    "",
-    "0",
-    "false",
-    "no",
-)
+_AMP_ENABLED = env_flag("REPRO_AMP", default=False)
 
 
 def use_amp(enabled: bool = True) -> bool:

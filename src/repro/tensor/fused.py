@@ -16,6 +16,9 @@ single hand-derived vector-Jacobian product:
   of ~14).  Forward values are **bit-identical** to the reference cell:
   both paths share :func:`repro.tensor.tensor.stable_sigmoid` and apply
   the same operations in the same order.
+* :func:`lstm_layer` — a whole direction over a ``(T, B, D)`` sequence,
+  padded batches included (an optional ``(T, B)`` mask), in one node;
+  forward values agree with the reference stack to round-off.
 * :func:`softmax_cross_entropy` — logits straight to scalar loss with the
   stable ``softmax - onehot`` backward materialised in-place on a single
   probability buffer (the reference allocates a dense target distribution
@@ -31,23 +34,26 @@ single hand-derived vector-Jacobian product:
 Dispatch
 --------
 Nothing imports these kernels directly: ``repro.nn.LSTMCell``,
-``repro.nn.LayerNorm``, ``repro.tensor.cross_entropy`` and the SGD-family
-optimizers all consult :func:`fused_enabled` and fall back to their
-reference implementations when fusion is off (the default, so the seed
-code path is untouched).  Flip globally with ``repro.tensor.use_fused``::
+``repro.nn.LSTM``, ``repro.nn.LayerNorm``, ``repro.tensor.cross_entropy``
+and the SGD-family optimizers all consult :func:`fused_enabled` and fall
+back to their reference implementations when fusion is off.  Fusion is
+the default; the reference engine stays as the differential oracle the
+parity suite checks every kernel against.  Flip globally with
+``repro.tensor.use_fused``::
 
     from repro import tensor
-    tensor.use_fused(True)       # returns the previous setting
+    tensor.use_fused(False)      # returns the previous setting
     ...
     with tensor.fused_kernels(False):   # scoped override
         ...
 
-or set ``REPRO_FUSED=1`` in the environment (how the CI fused leg runs
-the whole tier-1 suite on the fused path), or pass ``--fused`` to the
-CLI.  Checkpoints are path-agnostic — parameter names, optimizer state
-keys and values are identical either way — and the profiler sees the
-fused ops under the stable names ``fused_lstm_cell`` / ``fused_lstm_out``
-/ ``fused_softmax_xent`` / ``fused_layer_norm``.
+or set ``REPRO_FUSED=0`` in the environment (how the CI reference leg
+runs the whole tier-1 suite on the reference engine), or pass
+``--no-fused`` to the CLI.  Checkpoints are path-agnostic — parameter
+names, optimizer state keys and values are identical either way — and
+the profiler sees the fused ops under the stable names
+``fused_lstm_cell`` / ``fused_lstm_layer`` / ``fused_lstm_out`` /
+``fused_softmax_xent`` / ``fused_layer_norm``.
 
 Correctness story: :mod:`tests.test_fused_parity` property-checks fused
 against reference forward values and gradients (finite differences plus
@@ -58,11 +64,11 @@ paths to a committed 30-step MNIST-LSTM loss/grad-norm trajectory.
 from __future__ import annotations
 
 import contextlib
-import os
 
 import numpy as np
 
-from repro.tensor.tensor import Tensor, as_tensor
+from repro.tensor.env import env_flag
+from repro.tensor.tensor import Tensor, as_tensor, is_grad_enabled
 
 __all__ = [
     "use_fused",
@@ -116,12 +122,7 @@ def _sigmoid_into(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray
 # the global switch
 # --------------------------------------------------------------------------
 
-_FUSED_ENABLED = os.environ.get("REPRO_FUSED", "").strip().lower() not in (
-    "",
-    "0",
-    "false",
-    "no",
-)
+_FUSED_ENABLED = env_flag("REPRO_FUSED", default=True)
 
 
 def use_fused(enabled: bool = True) -> bool:
@@ -265,12 +266,21 @@ def lstm_layer(
     bias: Tensor,
     hidden_size: int,
     reverse: bool = False,
+    mask: np.ndarray | None = None,
 ) -> tuple[Tensor, Tensor, Tensor]:
     """One LSTM direction over a full ``(T, B, D)`` sequence in one node.
 
     Returns ``(outputs, h_final, c_final)`` where ``outputs`` is the
     ``(T, B, H)`` hidden-state sequence (time order preserved even when
     ``reverse=True``).
+
+    ``mask`` is an optional ``(T, B)`` array marking the valid positions
+    of a padded batch, with the reference stack's semantics
+    (:meth:`repro.nn.LSTM._run_direction`): at every step the carried
+    state is ``new·m + old·(1−m)`` and the output is ``h_new·m``.  With a
+    0/1 mask a padded position emits exactly 0 and leaves the state as
+    it was, so the final state is the state after the last valid step.
+    Both rules run inside the time loop and the single VJP.
 
     This is the cuDNN-style amortisation of the cell step: the input
     projection ``x @ Wx`` runs as a single batched matmul over all
@@ -283,6 +293,12 @@ def lstm_layer(
     nodes (packed output plus three slices) instead of ~14·T, and no
     ``np.add.at`` scatter ever runs.
 
+    The backward history (gates, ``tanh(c)`` and the carried states: seven
+    ``(T, B, H)`` buffers) is kept only when the call records a graph.
+    Under :func:`repro.tensor.no_grad`, or when no input requires grad,
+    the loop runs through one step of scratch instead, with bit-identical
+    outputs.
+
     Unlike :func:`lstm_cell_step` (bit-identical to the reference cell),
     summing ``x @ Wx + h @ Wh`` as two matmuls reorders the reduction
     relative to the reference's single concatenated matmul, so forward
@@ -293,6 +309,17 @@ def lstm_layer(
     kernel, bias = as_tensor(kernel), as_tensor(bias)
     hs = int(hidden_size)
     seq_len, batch, in_size = x.shape
+    if mask is not None:
+        mask = np.asarray(mask, dtype=np.float64)
+        if mask.shape != (seq_len, batch):
+            raise ValueError(
+                f"mask shape {mask.shape} != (T, B) = {(seq_len, batch)}"
+            )
+        keep = mask.reshape(seq_len, batch, 1)
+        drop = 1.0 - keep
+    record = is_grad_enabled() and any(
+        t.requires_grad for t in (x, h0, c0, kernel, bias)
+    )
     w_x = kernel.data[:in_size]
     w_h = kernel.data[in_size:]
 
@@ -301,13 +328,14 @@ def lstm_layer(
     z_all += bias.data
     z_steps = z_all.reshape(seq_len, batch, 4 * hs)
 
-    h_prev = np.empty((seq_len, batch, hs))
-    c_prev = np.empty((seq_len, batch, hs))
-    gate_i = np.empty((seq_len, batch, hs))
-    gate_f = np.empty((seq_len, batch, hs))
-    gate_g = np.empty((seq_len, batch, hs))
-    gate_o = np.empty((seq_len, batch, hs))
-    tanh_c = np.empty((seq_len, batch, hs))
+    # per-step history for the backward, or one reused step of scratch
+    kept = seq_len if record else 1
+    gate_i, gate_f, gate_g, gate_o, tanh_c = (
+        np.empty((kept, batch, hs)) for _ in range(5)
+    )
+    if record:
+        h_prev = np.empty((seq_len, batch, hs))
+        c_prev = np.empty((seq_len, batch, hs))
     packed = np.empty((seq_len + 2, batch, hs))
 
     # The time loops below run entirely through preallocated scratch —
@@ -318,22 +346,40 @@ def lstm_layer(
     rec = np.empty((batch, 4 * hs))
     tmp = np.empty((batch, hs))
     c_buf = np.empty((batch, hs))
+    if mask is not None:
+        h_buf = np.empty((batch, hs))
+        c_new = np.empty((batch, hs))
     for t in order:
-        h_prev[t] = h
-        c_prev[t] = c
+        s = t if record else 0
+        if record:
+            h_prev[t] = h
+            c_prev[t] = c
         z = z_steps[t]
         np.matmul(h, w_h, out=rec)
         z += rec
-        i = _sigmoid_into(z[:, 0 * hs : 1 * hs], gate_i[t], tmp)
-        f = _sigmoid_into(z[:, 1 * hs : 2 * hs], gate_f[t], tmp)
-        g_ = np.tanh(z[:, 2 * hs : 3 * hs], out=gate_g[t])
-        o = _sigmoid_into(z[:, 3 * hs : 4 * hs], gate_o[t], tmp)
+        i = _sigmoid_into(z[:, 0 * hs : 1 * hs], gate_i[s], tmp)
+        f = _sigmoid_into(z[:, 1 * hs : 2 * hs], gate_f[s], tmp)
+        g_ = np.tanh(z[:, 2 * hs : 3 * hs], out=gate_g[s])
+        o = _sigmoid_into(z[:, 3 * hs : 4 * hs], gate_o[s], tmp)
         np.multiply(i, g_, out=tmp)
-        np.multiply(f, c, out=c_buf)  # aliasing-safe when c is c_buf
-        c_buf += tmp
-        c = c_buf
-        tc = np.tanh(c, out=tanh_c[t])
-        h = np.multiply(o, tc, out=packed[t])
+        if mask is None:
+            np.multiply(f, c, out=c_buf)  # aliasing-safe when c is c_buf
+            c_buf += tmp
+            c = c_buf
+            tc = np.tanh(c, out=tanh_c[s])
+            h = np.multiply(o, tc, out=packed[t])
+        else:
+            np.multiply(f, c, out=c_new)
+            c_new += tmp
+            tc = np.tanh(c_new, out=tanh_c[s])
+            np.multiply(o, tc, out=tmp)  # h_new
+            np.multiply(tmp, keep[t], out=packed[t])
+            # carried state new·m + old·(1−m), written over the old state
+            h = np.multiply(h, drop[t], out=h_buf)
+            h += packed[t]
+            c_new *= keep[t]
+            c = np.multiply(c, drop[t], out=c_buf)
+            c += c_new
     packed[seq_len] = h
     packed[seq_len + 1] = c
 
@@ -347,10 +393,19 @@ def lstm_layer(
         t1 = np.empty((batch, hs))
         gh_buf = np.empty((batch, hs))
         gc_buf = np.empty((batch, hs))
+        if mask is not None:
+            gh_old = np.empty((batch, hs))
+            gc_old = np.empty((batch, hs))
         for t in reversed(order):
             i, f, g_, o = gate_i[t], gate_f[t], gate_g[t], gate_o[t]
             tc = tanh_c[t]
             np.add(g_out[t], gh, out=dh)
+            if mask is not None:
+                # the old state's (1 - m) share bypasses the cell
+                np.multiply(gh, drop[t], out=gh_old)
+                np.multiply(gc, drop[t], out=gc_old)
+                dh *= keep[t]
+                gc *= keep[t]  # gc is this vjp's own buffer
             dz = dz_all[t]
             # dc = gc + dh * o * (1 - tc^2)
             np.multiply(tc, tc, out=t1)
@@ -384,6 +439,9 @@ def lstm_layer(
             dz[:, 2 * hs : 3 * hs] = t1
             gh = np.matmul(dz, w_h.T, out=gh_buf)
             gc = np.multiply(dc, f, out=gc_buf)
+            if mask is not None:
+                gh += gh_old
+                gc += gc_old
         dz_flat = dz_all.reshape(seq_len * batch, 4 * hs)
         dx = (dz_flat @ w_x.T).reshape(x.shape)
         dkernel = np.empty_like(kernel.data)

@@ -258,6 +258,35 @@ class TestServeBench:
         assert "serving gnmt (gnmt head" in out
         assert "4/4 served" in out
 
+    @pytest.mark.parametrize(
+        "flags, switch, expected",
+        [([], True, True), ([], False, False),
+         (["--fused"], False, True), (["--no-fused"], True, False)],
+    )
+    def test_engine_follows_the_fused_switch(
+        self, capsys, monkeypatch, flags, switch, expected
+    ):
+        """No flag means the REPRO_FUSED setting, as for ``train``."""
+        from repro.serve import InferenceEngine
+        from repro.tensor import fused_kernels
+
+        built = []
+        init = InferenceEngine.__init__
+
+        def spy(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            built.append(self.fused)
+
+        monkeypatch.setattr(InferenceEngine, "__init__", spy)
+        with fused_kernels(switch):
+            code = main(
+                ["serve-bench", "mnist", "--mode", "closed", "--clients", "1",
+                 "--requests-per-client", "1", *flags]
+            )
+        capsys.readouterr()
+        assert code == 0
+        assert built == [expected]
+
     def test_resnet_has_no_serving_head(self):
         with pytest.raises(SystemExit):
             main(["serve-bench", "resnet"])

@@ -4,18 +4,25 @@ Every fused kernel is held to the reference implementation three ways:
 
 1. **forward parity** — bit-identical for the cell step, the loss, and
    the optimizer updates; round-off-level (the fused layer kernel sums
-   ``x@Wx + h@Wh`` as two matmuls) for the full-sequence LSTM layer;
+   ``x@Wx + h@Wh`` as two matmuls) for the full-sequence LSTM layer,
+   padded batches included;
 2. **backward parity** — fused VJPs against the reference graph's
    gradients on identical inputs;
 3. **gradcheck** — fused VJPs against central finite differences, so the
    two paths cannot be "consistently wrong together".
 
 Shapes, seeds and dtypes are randomized with hypothesis, including the
-degenerate ``batch == 1`` / ``seq_len == 1`` cases and non-contiguous
-input arrays.
+degenerate ``batch == 1`` / ``seq_len == 1`` cases, non-contiguous input
+arrays, and padding masks with full-length and zero-length rows.
 """
 
 from __future__ import annotations
+
+import os
+import pathlib
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,9 +36,11 @@ from repro.tensor import (
     fused_enabled,
     fused_kernels,
     gradcheck,
+    no_grad,
     use_fused,
 )
 from repro.tensor import fused
+from repro.tensor.env import env_flag
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -46,6 +55,16 @@ def _restore_fused_flag():
 
 def _grads(params):
     return {n: p.grad.copy() for n, p in params.items()}
+
+
+def _mask_rows(rng, seq_len, kinds):
+    """A (T, B) 0/1 mask whose rows are full, empty or random."""
+    cols = {
+        "full": lambda: np.ones(seq_len),
+        "empty": lambda: np.zeros(seq_len),
+        "random": lambda: (rng.random(seq_len) < 0.5).astype(float),
+    }
+    return np.stack([cols[kind]() for kind in kinds], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -221,24 +240,130 @@ class TestLSTMLayerParity:
         assert np.array_equal(h0.data, h0d)
         assert np.array_equal(c0.data, c0d)
 
-    def test_masked_batches_fall_back_and_agree(self, rng):
-        """Ragged batches skip the layer kernel but still match reference."""
-        T, B, D, H = 4, 3, 3, 4
-        xd = rng.standard_normal((T, B, D))
-        mask = np.ones((T, B))
-        mask[2:, 0] = 0.0
-        mask[3:, 1] = 0.0
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(1, 5),   # seq_len (includes 1)
+        st.integers(1, 4),   # batch (includes 1)
+        st.integers(1, 4),   # input size
+        st.integers(1, 4),   # hidden
+        st.integers(1, 2),   # layers
+        st.booleans(),       # bidirectional first layer (a reverse direction)
+        st.data(),
+        seeds,
+    )
+    def test_masked_stack_matches_reference(
+        self, seq_len, batch, input_size, hidden, layers, bidir, data, seed
+    ):
+        """Padded batches run on the layer kernel, at the unmasked
+        layer's round-off contract against the reference per-step masked
+        path: outputs, final states, and the grads of the input, the
+        initial states and every parameter."""
+        kinds = data.draw(
+            st.lists(
+                st.sampled_from(["full", "empty", "random"]),
+                min_size=batch, max_size=batch,
+            )
+        )
+        rng = np.random.default_rng(seed)
+        mask = _mask_rows(rng, seq_len, kinds)
+        xd = rng.standard_normal((seq_len, batch, input_size))
+        hd = rng.standard_normal((layers, 2, batch, hidden))
 
         def run(flag):
             with fused_kernels(flag):
-                lstm = LSTM(D, H, 1, rng=7)
-                out, states = lstm(Tensor(xd.copy()), mask=mask)
-                return out.data.copy(), states[0][0].data.copy()
+                lstm = LSTM(
+                    input_size, hidden, layers, rng=seed,
+                    bidirectional_first=bidir,
+                )
+                x = Tensor(xd.copy(), requires_grad=True)
+                init = [
+                    (Tensor(h.copy(), requires_grad=True),
+                     Tensor(c.copy(), requires_grad=True))
+                    for h, c in hd
+                ]
+                out, states = lstm(x, initial_states=init, mask=mask)
+                loss = (out * out).sum()
+                for h, c in states:
+                    loss = loss + (h * c).sum()
+                loss.backward()
+                return (
+                    out.data.copy(),
+                    [(h.data.copy(), c.data.copy()) for h, c in states],
+                    [x.grad.copy()]
+                    + [t.grad.copy() for pair in init for t in pair],
+                    _grads(dict(lstm.named_parameters())),
+                )
 
-        o_r, h_r = run(False)
-        o_f, h_f = run(True)
-        assert np.array_equal(o_r, o_f)  # cell path is bit-identical
-        assert np.array_equal(h_r, h_f)
+        o_r, s_r, gi_r, gp_r = run(False)
+        o_f, s_f, gi_f, gp_f = run(True)
+        assert np.allclose(o_r, o_f, atol=1e-12)
+        for (h_r, c_r), (h_f, c_f) in zip(s_r, s_f):
+            assert np.allclose(h_r, h_f, atol=1e-12)
+            assert np.allclose(c_r, c_f, atol=1e-12)
+        for g_r, g_f in zip(gi_r, gi_f):
+            assert np.allclose(g_r, g_f, atol=1e-12)
+        for name in gp_r:
+            assert np.allclose(gp_r[name], gp_f[name], atol=1e-12)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_gradcheck_masked_layer(self, rng, reverse):
+        T, B, D, H = 4, 3, 3, 3
+        # rows: full length, gaps, zero length
+        mask = np.array([[1, 1, 0], [1, 0, 0], [1, 1, 0], [1, 0, 0]], float)
+        x = Tensor(rng.standard_normal((T, B, D)), requires_grad=True)
+        h0 = Tensor(rng.standard_normal((B, H)), requires_grad=True)
+        c0 = Tensor(rng.standard_normal((B, H)), requires_grad=True)
+        k = Tensor(rng.standard_normal((D + H, 4 * H)) * 0.3, requires_grad=True)
+        b = Tensor(rng.standard_normal(4 * H) * 0.3, requires_grad=True)
+
+        def fn(x, h0, c0, k, b):
+            out, hf, cf = fused.lstm_layer(
+                x, h0, c0, k, b, H, reverse=reverse, mask=mask
+            )
+            return (out * out).sum() + (hf * cf).sum()
+
+        report = gradcheck(fn, [x, h0, c0, k, b], atol=1e-7, rtol=1e-5)
+        assert report.worst_abs < 1e-7
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_padding_is_exact(self, rng, reverse):
+        """Padded outputs are exactly 0, and the carried state is exactly
+        the state after the last valid step."""
+        T, B, D, H = 5, 4, 3, 4
+        lengths = np.array([5, 3, 1, 0])
+        mask = (np.arange(T)[:, None] < lengths[None, :]).astype(float)
+        if reverse:  # valid steps come first in processing order
+            mask = mask[::-1].copy()
+        x = Tensor(rng.standard_normal((T, B, D)))
+        h0 = Tensor(rng.standard_normal((B, H)))
+        c0 = Tensor(rng.standard_normal((B, H)))
+        k = Tensor(rng.standard_normal((D + H, 4 * H)) * 0.5)
+        b = Tensor(rng.standard_normal(4 * H) * 0.5)
+        out, hf, cf = fused.lstm_layer(
+            x, h0, c0, k, b, H, reverse=reverse, mask=mask
+        )
+        assert np.all(out.data[mask == 0] == 0.0)
+        for row, length in enumerate(lengths):
+            if length == 0:
+                assert np.array_equal(hf.data[row], h0.data[row])
+                assert np.array_equal(cf.data[row], c0.data[row])
+            else:
+                last = T - length if reverse else length - 1
+                assert np.array_equal(hf.data[row], out.data[last, row])
+        # padded steps after a state leave it exactly as it was
+        pad = fused.lstm_layer(
+            x, hf, cf, k, b, H, reverse=reverse, mask=np.zeros((T, B))
+        )
+        assert np.all(pad[0].data == 0.0)
+        assert np.array_equal(pad[1].data, hf.data)
+        assert np.array_equal(pad[2].data, cf.data)
+
+    def test_mask_shape_is_checked_on_both_paths(self, rng):
+        lstm = LSTM(3, 4, 1, rng=0)
+        x = Tensor(rng.standard_normal((4, 2, 3)))
+        for flag in (False, True):
+            with fused_kernels(flag), pytest.raises(ValueError, match="mask"):
+                lstm(x, mask=np.ones((2, 4)))
 
     def test_dropout_masks_match_between_paths(self):
         """The (T,B,H) fused dropout draw consumes the RNG stream exactly
@@ -254,6 +379,54 @@ class TestLSTMLayerParity:
                 return out.data.copy()
 
         assert np.allclose(run(False), run(True), atol=1e-12)
+
+
+class TestLSTMLayerNoGrad:
+    """The layer kernel keeps backward history only when it records."""
+
+    @staticmethod
+    def _inputs(rng, T, B, D, H, grad=True):
+        return (
+            Tensor(rng.standard_normal((T, B, D)), requires_grad=grad),
+            Tensor(rng.standard_normal((B, H))),
+            Tensor(rng.standard_normal((B, H))),
+            Tensor(rng.standard_normal((D + H, 4 * H)) * 0.3, requires_grad=grad),
+            Tensor(rng.standard_normal(4 * H) * 0.3, requires_grad=grad),
+        )
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_outputs_bit_identical_to_recording(self, rng, masked, reverse):
+        T, B, D, H = 5, 3, 4, 6
+        args = self._inputs(rng, T, B, D, H)
+        mask = _mask_rows(rng, T, ["full", "random", "empty"]) if masked else None
+        recorded = fused.lstm_layer(*args, H, reverse=reverse, mask=mask)
+        assert recorded[0].requires_grad
+        with no_grad():
+            unrecorded = fused.lstm_layer(*args, H, reverse=reverse, mask=mask)
+        leaves = [Tensor(a.data) for a in args]  # nothing requires grad
+        constant = fused.lstm_layer(*leaves, H, reverse=reverse, mask=mask)
+        for other in (unrecorded, constant):
+            for a, b in zip(recorded, other):
+                assert not b.requires_grad
+                assert np.array_equal(a.data, b.data)
+
+    def test_no_grad_allocates_no_history(self, rng):
+        T, B, D, H = 14, 256, 28, 32
+        args = self._inputs(rng, T, B, D, H)
+
+        def peak_bytes():
+            tracemalloc.start()
+            try:
+                fused.lstm_layer(*args, H)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        recording = peak_bytes()
+        with no_grad():
+            unrecorded = peak_bytes()
+        assert unrecorded < 0.6 * recording
 
 
 # ---------------------------------------------------------------------------
@@ -454,3 +627,47 @@ class TestDispatch:
                 return len(seen)
 
         assert count_nodes(True) < count_nodes(False) / 3
+
+    @pytest.mark.parametrize(
+        "value, default, expected",
+        [
+            (None, True, True),
+            (None, False, False),
+            ("", True, False),
+            ("0", True, False),
+            ("false", True, False),
+            (" No ", True, False),
+            ("FALSE", True, False),
+            ("1", False, True),
+            ("yes", False, True),
+            ("true", False, True),
+            ("on", False, True),
+            ("2", False, True),
+        ],
+    )
+    def test_env_flag_truth_table(self, monkeypatch, value, default, expected):
+        if value is None:
+            monkeypatch.delenv("REPRO_TEST_FLAG", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_TEST_FLAG", value)
+        assert env_flag("REPRO_TEST_FLAG", default) is expected
+
+    @pytest.mark.parametrize("value, expected", [(None, True), ("0", False)])
+    def test_fresh_import_reads_repro_fused(self, value, expected):
+        """Fused is the default in a fresh process; REPRO_FUSED=0 selects
+        the reference engine."""
+        import repro
+
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_FUSED"}
+        if value is not None:
+            env["REPRO_FUSED"] = value
+        src = str(pathlib.Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        out = subprocess.run(
+            [sys.executable, "-c",
+             "import repro.tensor as t; print(t.fused_enabled())"],
+            env=env, capture_output=True, text=True, timeout=60, check=True,
+        )
+        assert out.stdout.strip() == str(expected)

@@ -203,9 +203,9 @@ class TestFusedKernelProfile:
         # layer plus the loss/head handful
         assert fus_nodes < ref_nodes / 3
 
-    def test_fused_cell_label_on_masked_fallback(self):
-        """Ragged batches fall back to per-step fused cells — still
-        profiled under their own stable name."""
+    def test_masked_batch_builds_one_layer_node(self):
+        """Ragged batches run on the layer kernel too: one
+        ``fused_lstm_layer`` node, no per-step cells."""
         with fused_kernels(True):
             rng = np.random.default_rng(4)
             lstm = LSTM(4, 6, num_layers=1, rng=0)
@@ -218,8 +218,8 @@ class TestFusedKernelProfile:
                 out, _ = lstm(Tensor(x), mask=mask)
             finally:
                 prof.detach()
-        assert prof.forward["fused_lstm_cell"].calls == 5
-        assert "fused_lstm_layer" not in prof.forward
+        assert prof.forward["fused_lstm_layer"].calls == 1
+        assert "fused_lstm_cell" not in prof.forward
 
 
 class TestCliObservability:
