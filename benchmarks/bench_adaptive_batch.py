@@ -70,8 +70,10 @@ def test_adaptive_beats_fixed_batch(benchmark):
 
     def measure():
         fixed = wl.run_legw(wl.base_batch, epochs=EPOCHS)
-        adaptive = wl.run_adaptive(epochs=EPOCHS, noise_every=NOISE_EVERY)
-        return fixed, adaptive, wl.last_adaptive
+        adaptive = wl.run(
+            adaptive_batch=True, epochs=EPOCHS, noise_every=NOISE_EVERY
+        )
+        return fixed, adaptive, wl.last_trainer
 
     fixed, adaptive, trainer = benchmark.pedantic(measure, rounds=1, iterations=1)
     fixed_steps = EPOCHS * wl.steps_per_epoch(wl.base_batch)
@@ -139,8 +141,8 @@ def test_online_estimator_matches_offline(benchmark):
     wl = build_workload("mnist", "smoke")
 
     def measure():
-        wl.run_adaptive(epochs=1, noise_every=NOISE_EVERY)
-        trainer = wl.last_adaptive
+        wl.run(adaptive_batch=True, epochs=1, noise_every=NOISE_EVERY)
+        trainer = wl.last_trainer
         model = trainer.model
         params = [p for _, p in trainer.optimizer.params]
         make_batch = probe_batch_fn(trainer.train_iter)
@@ -224,25 +226,28 @@ def test_resume_reproduces_batch_trajectory(benchmark):
         d_part = tempfile.mkdtemp(prefix="adapt_part_")
         try:
             wl = build_workload("mnist", "smoke")
-            full = wl.run_adaptive(
-                epochs=epochs, noise_every=NOISE_EVERY, checkpoint_dir=d_full
+            full = wl.run(
+                adaptive_batch=True, epochs=epochs, noise_every=NOISE_EVERY,
+                checkpoint_dir=d_full,
             )
-            full_traj = list(wl.last_adaptive.trajectory)
+            full_traj = list(wl.last_trainer.trajectory)
 
             # "kill" at the halfway checkpoint: a fresh workload (fresh
             # model, optimizer, estimator, loader) resumes from disk alone
             wl_part = build_workload("mnist", "smoke")
-            wl_part.run_adaptive(
-                epochs=half, noise_every=NOISE_EVERY, checkpoint_dir=d_part
+            wl_part.run(
+                adaptive_batch=True, epochs=half, noise_every=NOISE_EVERY,
+                checkpoint_dir=d_part,
             )
             wl_res = build_workload("mnist", "smoke")
-            resumed = wl_res.run_adaptive(
+            resumed = wl_res.run(
+                adaptive_batch=True,
                 epochs=epochs,
                 noise_every=NOISE_EVERY,
                 checkpoint_dir=d_part,
                 resume=True,
             )
-            resumed_traj = list(wl_res.last_adaptive.trajectory)
+            resumed_traj = list(wl_res.last_trainer.trajectory)
             return full, full_traj, resumed, resumed_traj
         finally:
             shutil.rmtree(d_full, ignore_errors=True)

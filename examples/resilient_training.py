@@ -80,7 +80,7 @@ def train_once(train, test, ckpt_dir: str, inject_faults: bool):
             ConstantLR(LR),
             batches,
             checkpoint_dir=ckpt_dir,
-            gradient_fn=lambda batch: cluster.gradient_step(model, batch),
+            loss_fn=cluster.as_loss_fn(model),
             eval_fn=lambda: model.evaluate(test),
             fault_injector=injector,
             obs=obs,

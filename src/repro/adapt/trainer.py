@@ -78,9 +78,8 @@ class AdaptiveBatchTrainer(CheckpointedTrainer):
 
     The :class:`~repro.train.trainer.Trainer` loop with a batch change at
     each epoch start and a noise-scale feed after each step.  There is no
-    rollback: a fault (non-finite loss or eval metric) ends the run as
-    diverged.  It always trains in full precision: ``REPRO_AMP`` does not
-    reach this trainer.
+    rollback: a fault (non-finite loss or eval metric, or a critical
+    health event) ends the run as diverged.
 
     Parameters
     ----------
@@ -106,9 +105,8 @@ class AdaptiveBatchTrainer(CheckpointedTrainer):
         An :class:`~repro.adapt.estimator.OnlineNoiseScale`; default
         constructed with library defaults.
     loss_fn:
-        Defaults to ``model.loss``.  When a ``cluster`` is given and no
-        ``loss_fn`` is, the cluster's gradient-installing adapter is
-        used.
+        Defaults to ``model.loss``, or to ``cluster.as_loss_fn(model)``
+        when a ``cluster`` is given.
     cluster:
         Optional :class:`~repro.parallel.cluster.SimCluster` or
         :class:`~repro.parallel.mp.MultiprocessCluster`.  Its
@@ -127,6 +125,9 @@ class AdaptiveBatchTrainer(CheckpointedTrainer):
         no-warmup ablation arm — leaving only the sqrt rescale).
     checkpoint_dir / keep_last / checkpoint_every:
         Optional hardened checkpointing; required for ``resume=True``.
+    amp / metrics_every:
+        As for :class:`~repro.train.resilience.ResilientTrainer`; the loss
+        scaler rides in the checkpoints, so an amp run resumes bit-exactly.
     """
 
     _run_span = "adaptive_train"
@@ -154,6 +155,8 @@ class AdaptiveBatchTrainer(CheckpointedTrainer):
         checkpoint_dir: str | pathlib.Path | None = None,
         keep_last: int | None = 3,
         checkpoint_every: int = 1,
+        amp: bool | None = None,
+        metrics_every: int = 0,
     ) -> None:
         if base_batch < 1:
             raise ValueError("base_batch must be >= 1")
@@ -166,13 +169,7 @@ class AdaptiveBatchTrainer(CheckpointedTrainer):
         if cluster is not None:
             cluster.noise_tap = True
         if loss_fn is None:
-            if cluster is not None:
-                try:
-                    loss_fn = cluster.as_loss_fn()
-                except TypeError:  # MultiprocessCluster binds the model
-                    loss_fn = cluster.as_loss_fn(model)
-            else:
-                loss_fn = model.loss
+            loss_fn = model.loss if cluster is None else cluster.as_loss_fn(model)
         super().__init__(
             loss_fn,
             optimizer,
@@ -181,8 +178,10 @@ class AdaptiveBatchTrainer(CheckpointedTrainer):
             eval_fn=eval_fn,
             grad_clip=grad_clip,
             obs=obs,
-            amp=False,
+            metrics_every=metrics_every,
+            amp=amp,
         )
+        self._monitor()
         self.model = model
         self.make_train_iter = make_train_iter
         self.base_batch = int(base_batch)
@@ -322,6 +321,7 @@ class AdaptiveBatchTrainer(CheckpointedTrainer):
         result.final_metrics["final_batch"] = float(self.current_batch)
         result.final_metrics["growth_events"] = float(self.growths)
         result.final_metrics["noise_scale"] = self.estimator.noise_scale
+        super()._finish(result, iteration)
 
 
 def _prefixed(extra: dict[str, float], prefix: str) -> dict[str, float]:

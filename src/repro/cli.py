@@ -41,8 +41,9 @@ shards every batch across ``P`` workers with gradients reduced through
 the bucketed all-reduce, ``--parallel-backend`` chooses between the
 in-process simulation (``sim``, the default) and real OS worker
 processes with cross-process telemetry (``mp``), ``--allreduce-algo``
-picks the schedule (ring/tree/naive), and ``--bucket-mb`` sizes the
-gradient buckets (``0`` for the monolithic baseline).
+picks the schedule (ring/tree/naive), ``--bucket-mb`` sizes the
+gradient buckets (``0`` for the monolithic baseline) and ``--wire-dtype``
+/ ``--stochastic-rounding`` compress them on the wire.
 
 ``train`` additionally accepts the resilience flags (docs/resilience.md):
 ``--checkpoint-dir DIR`` switches to fault-tolerant training with
@@ -56,10 +57,22 @@ seeded NaN-loss injector for demos and testing.
 online gradient noise scale (start at the base batch, grow toward the
 measured critical batch under the LEGW invariant), with ``--noise-every
 N`` setting the serial probe cadence, ``--target-ratio R`` the growth
-aggressiveness and ``--max-batch B`` the cap.  Adaptive training is
-incompatible with ``--amp``/``--fault-rate`` and with an explicit
-``--batch`` (the loop owns the batch size); ``--workers`` composes —
-per-shard gradients then feed the estimator for free.
+aggressiveness and ``--max-batch B`` the cap.
+
+The three flag groups compose: every policy (plain, rollback, adaptive)
+trains through the workers, honouring every data-parallel flag.  The
+flags become one :class:`~repro.experiments.common.TrainConfig`, whose
+validator is the one place a combination is refused: ``train`` prints
+its reason and exits 2.  It refuses ``--resume`` or ``--fault-rate``
+without ``--checkpoint-dir``; ``--adaptive-batch`` with ``--fault-rate``
+(no rollback), with ``--batch`` (the loop owns the batch size) or with a
+non-LEGW ``--schedule``; the adaptive tuning flags without
+``--adaptive-batch``; ``--noise-every`` or ``--workers`` below 1; the
+wire flags without ``--workers``; ``--stochastic-rounding`` without
+``--wire-dtype fp16`` or with ``--checkpoint-dir`` (its rounding stream
+is not checkpointed); ``--wire-dtype`` with ``--bucket-mb 0``; and
+``--amp`` with ``--workers`` (compress the wire instead; unset amp is
+off there).
 """
 
 from __future__ import annotations
@@ -68,14 +81,15 @@ import argparse
 import json
 import pathlib
 import sys
+from dataclasses import replace
 from typing import Sequence
 
-from repro.experiments import build_workload, run_experiment, score_of
+from repro.experiments import TrainConfig, build_workload, run_experiment, score_of
 from repro.experiments.registry import EXPERIMENTS
 from repro.obs import Obs
 from repro.parallel.allreduce import ALGORITHMS
 from repro.parallel.buckets import DEFAULT_BUCKET_MB
-from repro.tensor.amp import use_amp
+from repro.tensor.amp import amp_enabled, use_amp
 from repro.tensor.fused import fused_enabled, use_fused
 from repro.utils.ascii_plot import line_chart
 
@@ -423,7 +437,6 @@ def _chartable_series(out: dict):
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    _apply_engine_flags(args)
     obs = _build_obs(args)
     if obs is None:
         out = run_experiment(
@@ -457,7 +470,6 @@ def _cmd_experiment(args: argparse.Namespace) -> int:
 
 
 def _cmd_train(args: argparse.Namespace) -> int:
-    _apply_engine_flags(args)
     wl = build_workload(args.workload, args.preset)
     batch = args.batch if args.batch is not None else wl.base_batch
     if args.schedule == "legw":
@@ -469,141 +481,31 @@ def _cmd_train(args: argparse.Namespace) -> int:
             epochs=args.epochs,
         )
         print(f"schedule: {args.schedule} scaling, warmup {args.warmup_epochs} ep")
-    if args.resume and args.checkpoint_dir is None:
-        print("--resume requires --checkpoint-dir", file=sys.stderr)
+    try:
+        config = TrainConfig(
+            batch=args.batch, schedule=schedule, seed=args.seed,
+            epochs=args.epochs, metrics_every=args.metrics_every,
+            amp=args.amp, workers=args.workers,
+            backend=args.parallel_backend, algorithm=args.allreduce_algo,
+            bucket_mb=args.bucket_mb if args.bucket_mb > 0 else None,
+            wire_dtype=args.wire_dtype,
+            stochastic_rounding=args.stochastic_rounding,
+            checkpoint_dir=args.checkpoint_dir, resume=args.resume,
+            keep_last=args.keep_last, max_recoveries=args.max_recoveries,
+            fault_rate=args.fault_rate, adaptive_batch=args.adaptive_batch,
+            max_batch=args.max_batch, noise_every=args.noise_every,
+            target_ratio=args.target_ratio,
+        )
+    except ValueError as refusal:
+        print(f"repro train: {refusal}", file=sys.stderr)
         return 2
-    if args.fault_rate and args.checkpoint_dir is None:
-        print("--fault-rate requires --checkpoint-dir", file=sys.stderr)
-        return 2
-    if not args.adaptive_batch:
-        for flag, value in (
-            ("--noise-every", args.noise_every),
-            ("--target-ratio", args.target_ratio),
-            ("--max-batch", args.max_batch),
-        ):
-            if value is not None:
-                print(f"{flag} requires --adaptive-batch", file=sys.stderr)
-                return 2
-    else:
-        if args.batch is not None:
-            print(
-                "--adaptive-batch owns the batch size (starts at the "
-                "workload's base batch); drop --batch",
-                file=sys.stderr,
-            )
-            return 2
-        if args.amp:
-            print(
-                "--adaptive-batch is incompatible with --amp",
-                file=sys.stderr,
-            )
-            return 2
-        if args.fault_rate:
-            print(
-                "--adaptive-batch is incompatible with --fault-rate "
-                "(no rollback path in the adaptive trainer)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.schedule != "legw":
-            print(
-                "--adaptive-batch requires --schedule legw (growth "
-                "events rescale the LEGW envelope)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.parallel_backend != "sim" and args.workers is not None:
-            print(
-                "--adaptive-batch supports --parallel-backend sim only",
-                file=sys.stderr,
-            )
-            return 2
-        if args.wire_dtype is not None or args.stochastic_rounding:
-            print(
-                "--adaptive-batch is incompatible with --wire-dtype/"
-                "--stochastic-rounding",
-                file=sys.stderr,
-            )
-            return 2
-    if args.workers is not None:
-        if args.workers < 1:
-            print("--workers must be >= 1", file=sys.stderr)
-            return 2
-        if (
-            args.checkpoint_dir is not None
-            and args.parallel_backend != "mp"
-            and not args.adaptive_batch
-        ):
-            print(
-                "--workers with --checkpoint-dir requires "
-                "--parallel-backend mp",
-                file=sys.stderr,
-            )
-            return 2
-    if args.wire_dtype is not None or args.stochastic_rounding:
-        if args.workers is None or args.checkpoint_dir is not None:
-            print(
-                "--wire-dtype/--stochastic-rounding require --workers "
-                "(without --checkpoint-dir)",
-                file=sys.stderr,
-            )
-            return 2
-        if args.stochastic_rounding and args.wire_dtype != "fp16":
-            print(
-                "--stochastic-rounding requires --wire-dtype fp16",
-                file=sys.stderr,
-            )
-            return 2
-        if args.bucket_mb <= 0:
-            print(
-                "--wire-dtype requires the bucketed path (--bucket-mb > 0)",
-                file=sys.stderr,
-            )
-            return 2
     obs = _build_obs(args)
-
-    def train(obs=None):
-        if args.adaptive_batch:
-            return wl.run_adaptive(
-                max_batch=args.max_batch,
-                seed=args.seed, epochs=args.epochs, obs=obs,
-                workers=args.workers or 0,
-                noise_every=args.noise_every or 16,
-                target_ratio=(
-                    args.target_ratio if args.target_ratio is not None else 2.0
-                ),
-                checkpoint_dir=args.checkpoint_dir,
-                resume=args.resume, keep_last=args.keep_last,
-            )
-        if args.checkpoint_dir is not None:
-            return wl.run_resilient(
-                batch, schedule, checkpoint_dir=args.checkpoint_dir,
-                seed=args.seed, epochs=args.epochs, obs=obs,
-                resume=args.resume, keep_last=args.keep_last,
-                max_recoveries=args.max_recoveries,
-                fault_rate=args.fault_rate,
-                metrics_every=args.metrics_every,
-                workers=args.workers or 0,
-            )
-        if args.workers is not None:
-            return wl.run_parallel(
-                batch, schedule, workers=args.workers,
-                algorithm=args.allreduce_algo,
-                bucket_mb=args.bucket_mb if args.bucket_mb > 0 else None,
-                seed=args.seed, epochs=args.epochs, obs=obs,
-                metrics_every=args.metrics_every,
-                backend=args.parallel_backend,
-                wire_dtype=args.wire_dtype,
-                stochastic_rounding=args.stochastic_rounding,
-            )
-        return wl.run(batch, schedule, seed=args.seed, epochs=args.epochs,
-                      obs=obs, metrics_every=args.metrics_every)
-
     if obs is None:
-        result = train()
+        result = wl.train(config)
     else:
         with obs.activate():
-            result = train(obs)
+            result = wl.train(replace(config, obs=obs))
+    trainer = wl.last_trainer
     score = score_of(result, wl.metric)
     status = "DIVERGED" if result.diverged else "ok"
     print(
@@ -611,14 +513,13 @@ def _cmd_train(args: argparse.Namespace) -> int:
         f"(paper {wl.paper_batch(batch)}): {wl.metric} = {score:.4g} [{status}]"
     )
     if args.adaptive_batch:
-        trainer = wl.last_adaptive
         print(
             f"adaptive batch: {int(result.final_metrics['optimizer_steps'])} "
             f"steps, {int(result.final_metrics['growth_events'])} growth "
             f"event(s), trajectory {trainer.trajectory}, final noise scale "
             f"{result.final_metrics['noise_scale']:.1f}"
         )
-    if args.workers is not None and not args.adaptive_batch:
+    if args.workers is not None:
         overlap = result.final_metrics.get("overlap_fraction")
         extra = (
             f", {overlap:.0%} of comm hidden under backward"
@@ -639,7 +540,7 @@ def _cmd_train(args: argparse.Namespace) -> int:
             f"recovery(ies), checkpoints in {args.checkpoint_dir}"
         )
     if obs is not None:
-        _emit_obs(obs, args, health=getattr(wl, "last_health", None))
+        _emit_obs(obs, args, health=trainer.health)
     return 0 if not result.diverged else 1
 
 
@@ -674,13 +575,12 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     )
     from repro.utils.checkpoint import CheckpointManager
 
-    _apply_engine_flags(args)
     wl = build_workload(args.workload, args.preset)
     task = SERVE_TASKS[args.workload]
     if args.quantize is not None and task != "mnist":
         print("--quantize int8 supports the mnist task only", file=sys.stderr)
         return 2
-    eng_kwargs = dict(fused=fused_enabled(), quantize=args.quantize)
+    eng_kwargs = dict(quantize=args.quantize)
     model = wl.make_model(args.seed)
     manager = None
     if args.snapshot is not None:
@@ -816,15 +716,21 @@ def _jsonable(value):
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "list":
-        return _cmd_list()
-    if args.command == "experiment":
-        return _cmd_experiment(args)
-    if args.command == "train":
-        return _cmd_train(args)
-    if args.command == "serve-bench":
+    # the engine flags flip process-wide switches: restore them on every
+    # exit, so an in-process caller keeps its own engine
+    fused, amp = fused_enabled(), amp_enabled()
+    _apply_engine_flags(args)
+    try:
+        if args.command == "list":
+            return _cmd_list()
+        if args.command == "experiment":
+            return _cmd_experiment(args)
+        if args.command == "train":
+            return _cmd_train(args)
         return _cmd_serve_bench(args)
-    raise AssertionError("unreachable")  # pragma: no cover
+    finally:
+        use_fused(fused)
+        use_amp(amp)
 
 
 if __name__ == "__main__":  # pragma: no cover

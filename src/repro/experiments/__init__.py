@@ -8,6 +8,7 @@ benchmark suite and CI), ``small`` (minutes, closer dynamic range).
 """
 
 from repro.experiments.common import (
+    TrainConfig,
     Workload,
     build_workload,
     mnist_workload,
@@ -20,6 +21,7 @@ from repro.experiments.common import (
 from repro.experiments.registry import EXPERIMENTS, run_experiment
 
 __all__ = [
+    "TrainConfig",
     "Workload",
     "build_workload",
     "mnist_workload",

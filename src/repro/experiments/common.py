@@ -18,11 +18,11 @@ constants live in the builder functions below and nowhere else.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-import numpy as np
-
+from repro.adapt import AdaptiveBatchTrainer, BatchSizeController
 from repro.data import (
     BatchIterator,
     MarkovLanguageSource,
@@ -36,6 +36,7 @@ from repro.data import (
 )
 from repro.data.vocab import BOS, EOS, PAD
 from repro.models import GNMT, MiniResNet, MnistLSTMClassifier, PTBLanguageModel
+from repro.obs import Obs
 from repro.optim import SOLVERS, Optimizer
 from repro.schedules import (
     ConstantLR,
@@ -55,6 +56,102 @@ from repro.parallel.mp import MultiprocessCluster
 from repro.train import ResilientTrainer, Trainer, TrainResult
 
 PRESETS = ("smoke", "small")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    """One training run of a :class:`Workload`, checked when it is built.
+
+    Every combination of fields either trains under a stated guarantee or
+    is refused here, with a reason, before anything is built.  The policy
+    is the plain loop by default, the rollback policy with
+    ``checkpoint_dir`` (``ResilientTrainer``) or the adaptive batch policy
+    with ``adaptive_batch`` (``AdaptiveBatchTrainer``, checkpointed when
+    ``checkpoint_dir`` is set).  ``workers`` trains any policy through a
+    ``backend`` cluster (``"sim"`` in-process, ``"mp"`` OS processes),
+    with the ``algorithm``/``bucket_mb``/``wire_dtype``/
+    ``stochastic_rounding`` reduction.  Rollback and resume are bit-exact
+    on every path that is not refused.
+
+    ``batch`` defaults to the workload's base batch (the adaptive policy
+    always starts there), ``schedule`` to LEGW at that batch and
+    ``epochs`` to the workload's.  ``amp=None`` follows ``REPRO_AMP`` in
+    one process and is off with ``workers``: a cluster installs
+    pre-averaged gradients the loss scaler never saw.  ``max_batch``
+    (default: the top of the ladder), ``noise_every`` (16),
+    ``target_ratio`` (2.0) and ``rewarmup`` tune the adaptive policy.
+    """
+
+    batch: int | None = None
+    schedule: Schedule | None = None
+    solver: str | None = None
+    seed: int = 0
+    epochs: int | None = None
+    obs: Obs | None = None
+    metrics_every: int = 0
+    amp: bool | None = None
+    workers: int | None = None
+    backend: str = "sim"
+    algorithm: str = "ring"
+    bucket_mb: float | None = DEFAULT_BUCKET_MB
+    wire_dtype: str | None = None
+    stochastic_rounding: bool = False
+    checkpoint_dir: str | os.PathLike | None = None
+    resume: bool = False
+    keep_last: int | None = 3
+    max_recoveries: int = 2
+    fault_rate: float = 0.0
+    adaptive_batch: bool = False
+    max_batch: int | None = None
+    noise_every: int | None = None
+    target_ratio: float | None = None
+    rewarmup: bool = True
+
+    def __post_init__(self) -> None:
+        adaptive, workers = self.adaptive_batch, self.workers
+        ckpt = self.checkpoint_dir is not None
+        refusals = (
+            (self.resume and not ckpt, "resume requires checkpoint_dir"),
+            (self.fault_rate and not ckpt,
+             "fault_rate requires checkpoint_dir: injected faults need the "
+             "rollback policy"),
+            (workers is not None and workers < 1, "workers must be >= 1"),
+            (self.backend not in ("sim", "mp"),
+             f"unknown backend {self.backend!r} (sim or mp)"),
+            ((self.wire_dtype is not None or self.stochastic_rounding)
+             and workers is None,
+             "wire_dtype and stochastic_rounding require workers"),
+            (self.stochastic_rounding and self.wire_dtype != "fp16",
+             "stochastic_rounding requires wire_dtype fp16"),
+            (self.wire_dtype is not None and self.bucket_mb is None,
+             "wire_dtype requires the bucketed reduction (bucket_mb > 0)"),
+            (self.stochastic_rounding and ckpt,
+             "stochastic_rounding with checkpoint_dir: the wire's rounding "
+             "stream is not checkpointed, so rollback and resume would drift"),
+            (self.amp and workers is not None,
+             "amp=True with workers: the cluster installs pre-averaged "
+             "gradients the loss scaler never saw; compress the wire with "
+             "wire_dtype"),
+            (adaptive and self.batch is not None,
+             "adaptive_batch owns the batch size (it starts at the "
+             "workload's base batch); drop batch"),
+            (adaptive and self.fault_rate,
+             "adaptive_batch with fault_rate: the adaptive policy has no "
+             "rollback"),
+            (adaptive and not isinstance(self.schedule, (LEGW, type(None))),
+             "adaptive_batch requires a LEGW schedule: growth events rescale "
+             "the LEGW envelope"),
+            (adaptive and self.noise_every is not None and self.noise_every < 1,
+             "noise_every must be >= 1"),
+            (not adaptive and (
+                (self.max_batch, self.noise_every, self.target_ratio)
+                != (None, None, None) or not self.rewarmup),
+             "max_batch, noise_every, target_ratio and rewarmup require "
+             "adaptive_batch"),
+        )
+        for refused, reason in refusals:
+            if refused:
+                raise ValueError(reason)
 
 
 def _check_preset(preset: str) -> None:
@@ -87,6 +184,8 @@ class Workload:
     lr_grid: tuple[float, ...] = ()
     # paper batch = ours * paper_batch_factor (reporting only):
     paper_batch_factor: int = 1
+    # the trainer of the newest :meth:`train` (trajectory, health events)
+    last_trainer: Any = field(default=None, init=False, repr=False, compare=False)
 
     # -- schedule construction ------------------------------------------------
 
@@ -148,306 +247,124 @@ class Workload:
         # constructor lr is a placeholder; the trainer sets it per iteration
         return cls(model, lr=self.base_lr, **self.solver_kwargs.get(solver, {}))
 
-    def run(
-        self,
-        batch: int,
-        schedule: Schedule,
-        solver: str | None = None,
-        seed: int = 0,
-        epochs: int | None = None,
-        obs=None,
-        metrics_every: int = 0,
-        amp: bool | None = None,
-    ) -> TrainResult:
+    def train(self, cfg: TrainConfig) -> TrainResult:
         """Train one configuration from scratch and evaluate each epoch.
 
-        ``obs`` is an optional :class:`repro.obs.Obs` handed through to the
-        trainer for span/metric instrumentation; ``metrics_every > 0``
-        additionally samples the registry into its time-series ring every
-        that many iterations.  ``amp`` selects emulated mixed-precision
-        training (fp16 storage + fp32 master weights + dynamic loss
-        scaling; ``None`` follows the ``REPRO_AMP`` env default).
+        The one entry point: every policy and every cluster is built here
+        the same way, from this instance's ``make_*`` attributes.  The
+        trainer is kept as :attr:`last_trainer` (growth trajectory,
+        health events), and a cluster is closed on every exit.
         """
-        model = self.make_model(seed)
-        train_iter = self.make_train_iter(batch, seed + 1)
-        optimizer = self.make_optimizer(model, solver)
-        trainer = Trainer(
-            model.loss,
-            optimizer,
-            schedule,
-            train_iter,
+        epochs = self.epochs if cfg.epochs is None else cfg.epochs
+        batch = self.base_batch if cfg.batch is None else cfg.batch
+        schedule = cfg.schedule
+        if schedule is None:
+            schedule = self.legw_schedule(batch, epochs)
+        model = self.make_model(cfg.seed)
+        optimizer = self.make_optimizer(model, cfg.solver)
+        cluster = None if cfg.workers is None else self._cluster(cfg, model)
+        common = dict(
+            loss_fn=model.loss if cluster is None else cluster.as_loss_fn(model),
             eval_fn=self.make_eval_fn(model),
             grad_clip=self.grad_clip,
-            obs=obs,
-            metrics_every=metrics_every,
-            amp=amp,
-        )
-        return trainer.run(epochs if epochs is not None else self.epochs)
-
-    def run_parallel(
-        self,
-        batch: int,
-        schedule: Schedule,
-        *,
-        workers: int,
-        algorithm: str = "ring",
-        bucket_mb: float | None = DEFAULT_BUCKET_MB,
-        solver: str | None = None,
-        seed: int = 0,
-        epochs: int | None = None,
-        obs=None,
-        metrics_every: int = 0,
-        backend: str = "sim",
-        wire_dtype: str | None = None,
-        stochastic_rounding: bool = False,
-    ) -> TrainResult:
-        """Train through a ``workers``-way data-parallel cluster.
-
-        Same construction as :meth:`run`, but every batch is sharded
-        across a cluster and the gradient comes back through the bucketed
-        all-reduce — numerically the run matches :meth:`run` to round-off
-        (the data-parallel equivalence the test suite pins down), while
-        exercising the real sharding/reduction machinery and recording
-        the ``allreduce/<algo>/*`` and ``parallel/overlap/*`` metrics.
-
-        ``backend`` selects the executor: ``"sim"`` (the default) runs
-        the in-process :class:`~repro.parallel.cluster.SimCluster`;
-        ``"mp"`` runs real OS worker processes through
-        :class:`~repro.parallel.mp.MultiprocessCluster`, with worker
-        telemetry (per-worker ``parallel/w<i>/...`` metrics and merged
-        traces) whenever ``obs`` carries a registry or tracer.
-
-        ``wire_dtype`` compresses gradient buckets on the wire
-        (``"fp16"``/``"bf16"``/``"fp32"``; see
-        :class:`~repro.parallel.buckets.GradientBuckets`), and
-        ``stochastic_rounding`` selects the unbiased-rounding fp16
-        ablation.  Both apply to either backend.
-        """
-        model = self.make_model(seed)
-        train_iter = self.make_train_iter(batch, seed + 1)
-        optimizer = self.make_optimizer(model, solver)
-        total_epochs = epochs if epochs is not None else self.epochs
-        if backend == "sim":
-            cluster = SimCluster(
-                list(model.parameters()),
-                model.loss,
-                workers,
-                algorithm=algorithm,
-                bucket_mb=bucket_mb,
-                wire_dtype=wire_dtype,
-                stochastic_rounding=stochastic_rounding,
-            )
-            loss_fn = cluster.as_loss_fn()
-        elif backend == "mp":
-            telemetry = obs is not None and (
-                obs.metrics is not None or obs.tracer is not None
-            )
-            # fork-start workers inherit this closure without pickling
-            cluster = MultiprocessCluster(
-                lambda: self.make_model(seed),
-                workers,
-                algorithm=algorithm,
-                bucket_mb=bucket_mb,
-                wire_dtype=wire_dtype,
-                stochastic_rounding=stochastic_rounding,
-                timeout=120.0,
-                telemetry=telemetry,
-                tracer=obs.tracer if obs is not None else None,
-            )
-            loss_fn = cluster.as_loss_fn(model)
-        else:
-            raise ValueError(f"unknown backend {backend!r} (sim or mp)")
-        trainer = Trainer(
-            loss_fn,
-            optimizer,
-            schedule,
-            train_iter,
-            eval_fn=self.make_eval_fn(model),
-            grad_clip=self.grad_clip,
-            obs=obs,
-            metrics_every=metrics_every,
+            obs=cfg.obs,
+            metrics_every=cfg.metrics_every,
+            amp=cfg.amp,
         )
         try:
-            result = trainer.run(total_epochs)
-        finally:
-            if backend == "mp":
-                cluster.close()
-        result.final_metrics.setdefault("workers", float(workers))
-        if backend == "sim" and cluster.last_timeline is not None:
-            result.final_metrics.setdefault(
-                "overlap_fraction", cluster.last_timeline.overlap_fraction
-            )
-        return result
-
-    def run_resilient(
-        self,
-        batch: int,
-        schedule: Schedule,
-        *,
-        checkpoint_dir,
-        solver: str | None = None,
-        seed: int = 0,
-        epochs: int | None = None,
-        obs=None,
-        resume: bool = False,
-        keep_last: int | None = 3,
-        max_recoveries: int = 2,
-        fault_rate: float = 0.0,
-        metrics_every: int = 0,
-        workers: int = 0,
-        amp: bool | None = None,
-    ) -> TrainResult:
-        """Train with fault tolerance: hardened checkpoints + rollback.
-
-        The resilient counterpart of :meth:`run` — same model, data and
-        schedule construction, but driven by
-        :class:`~repro.train.resilience.ResilientTrainer`: checkpoints
-        land in ``checkpoint_dir`` each epoch, ``resume=True`` continues
-        a killed run bit-exactly, and ``fault_rate > 0`` arms seeded
-        NaN-loss injection (the recovery-path demo).  ``workers > 0``
-        computes gradients through a telemetry-carrying
-        :class:`~repro.parallel.mp.MultiprocessCluster` (the injector
-        stays driver-side, so a NaN fault still rolls back even though
-        the worker gradients were finite); ``metrics_every > 0`` turns on
-        time-series sampling plus the default training health rules.
-        ``amp`` selects emulated mixed-precision training (single-process
-        only — incompatible with ``workers > 0``; ``None`` follows the
-        ``REPRO_AMP`` env default).
-        """
-        model = self.make_model(seed)
-        train_iter = self.make_train_iter(batch, seed + 1)
-        optimizer = self.make_optimizer(model, solver)
-        injector = (
-            LossFaultInjector(fault_rate, seed=seed) if fault_rate > 0 else None
-        )
-        cluster = None
-        gradient_fn = None
-        if workers > 0:
-            telemetry = obs is not None and (
-                obs.metrics is not None or obs.tracer is not None
-            )
-            cluster = MultiprocessCluster(
-                lambda: self.make_model(seed),
-                workers,
-                timeout=120.0,
-                telemetry=telemetry,
-                tracer=obs.tracer if obs is not None else None,
-            )
-            def gradient_fn(batch, _cluster=cluster, _model=model):
-                return _cluster.gradient_step(_model, batch)
-        trainer = ResilientTrainer(
-            model,
-            optimizer,
-            schedule,
-            train_iter,
-            checkpoint_dir=checkpoint_dir,
-            gradient_fn=gradient_fn,
-            eval_fn=self.make_eval_fn(model),
-            grad_clip=self.grad_clip,
-            obs=obs,
-            keep_last=keep_last,
-            max_recoveries=max_recoveries,
-            fault_injector=injector,
-            metrics_every=metrics_every,
-            amp=amp,
-        )
-        self.last_health = trainer.health  # type: ignore[attr-defined]
-        try:
-            return trainer.run(
-                epochs if epochs is not None else self.epochs, resume=resume
-            )
+            if cfg.adaptive_batch:
+                controller = BatchSizeController(
+                    batch,
+                    max(self.batches) if cfg.max_batch is None else cfg.max_batch,
+                    target_ratio=2.0 if cfg.target_ratio is None else cfg.target_ratio,
+                )
+                trainer = AdaptiveBatchTrainer(
+                    model, optimizer, schedule, self.make_train_iter,
+                    base_batch=batch,
+                    controller=controller,
+                    data_seed=cfg.seed + 1,
+                    cluster=cluster,
+                    noise_every=16 if cfg.noise_every is None else cfg.noise_every,
+                    base_warmup_epochs=self.base_warmup_epochs,
+                    rewarmup=cfg.rewarmup,
+                    checkpoint_dir=cfg.checkpoint_dir,
+                    keep_last=cfg.keep_last,
+                    **common,
+                )
+            elif cfg.checkpoint_dir is not None:
+                trainer = ResilientTrainer(
+                    model, optimizer, schedule,
+                    self.make_train_iter(batch, cfg.seed + 1),
+                    checkpoint_dir=cfg.checkpoint_dir,
+                    keep_last=cfg.keep_last,
+                    max_recoveries=cfg.max_recoveries,
+                    fault_injector=(
+                        LossFaultInjector(cfg.fault_rate, seed=cfg.seed)
+                        if cfg.fault_rate > 0 else None
+                    ),
+                    **common,
+                )
+            else:
+                trainer = Trainer(
+                    optimizer=optimizer, schedule=schedule,
+                    train_iter=self.make_train_iter(batch, cfg.seed + 1),
+                    **common,
+                )
+            self.last_trainer = trainer
+            result = trainer.run(epochs, resume=cfg.resume)
         finally:
             if cluster is not None:
                 cluster.close()
+        if cluster is not None:
+            result.final_metrics.setdefault("workers", float(cfg.workers))
+            timeline = getattr(cluster, "last_timeline", None)
+            if timeline is not None:
+                result.final_metrics.setdefault(
+                    "overlap_fraction", timeline.overlap_fraction
+                )
+        return result
 
-    def run_adaptive(
-        self,
-        *,
-        max_batch: int | None = None,
-        schedule: Schedule | None = None,
-        solver: str | None = None,
-        seed: int = 0,
-        epochs: int | None = None,
-        obs=None,
-        workers: int = 0,
-        noise_every: int = 16,
-        target_ratio: float = 2.0,
-        hysteresis: float = 1.1,
-        growth_factor: float = 2.0,
-        cooldown_epochs: int = 1,
-        rewarmup: bool = True,
-        checkpoint_dir=None,
-        resume: bool = False,
-        keep_last: int | None = 3,
+    def _cluster(self, cfg: TrainConfig, model):
+        """The ``cfg.workers``-way cluster, whichever policy trains through it."""
+        wire = dict(
+            algorithm=cfg.algorithm,
+            bucket_mb=cfg.bucket_mb,
+            wire_dtype=cfg.wire_dtype,
+            stochastic_rounding=cfg.stochastic_rounding,
+        )
+        if cfg.backend == "sim":
+            return SimCluster(
+                list(model.parameters()), model.loss, cfg.workers, **wire
+            )
+        obs = cfg.obs
+        # fork-start workers inherit this closure without pickling
+        return MultiprocessCluster(
+            lambda: self.make_model(cfg.seed),
+            cfg.workers,
+            timeout=120.0,
+            telemetry=obs is not None
+            and (obs.metrics is not None or obs.tracer is not None),
+            tracer=None if obs is None else obs.tracer,
+            **wire,
+        )
+
+    def run(
+        self, batch: int | None = None, schedule: Schedule | None = None, **options
     ) -> TrainResult:
-        """Train with the batch size steered by the online noise scale.
+        """:meth:`train` with the :class:`TrainConfig` built from arguments."""
+        return self.train(TrainConfig(batch=batch, schedule=schedule, **options))
 
-        Starts at ``base_batch`` under the base LEGW schedule and lets an
-        :class:`~repro.adapt.AdaptiveBatchTrainer` grow the batch toward
-        the measured critical batch (capped at ``max_batch``, default the
-        workload's largest ladder entry).  ``workers > 0`` computes
-        gradients through a :class:`~repro.parallel.cluster.SimCluster`
-        whose per-shard gradients feed the estimator for free; serial
-        runs probe with paired micro-batches every ``noise_every``
-        iterations.  ``rewarmup=False`` is the CLARS-style no-warmup
-        ablation (sqrt rescale only).  ``checkpoint_dir`` enables
-        hardened checkpoints and ``resume=True`` (which reproduces the
-        batch trajectory bit-exactly).  The trainer is stashed as
-        ``self.last_adaptive`` so callers can read the growth
-        trajectory.
-        """
-        from repro.adapt import (
-            AdaptiveBatchTrainer,
-            BatchSizeController,
-            OnlineNoiseScale,
-        )
+    # perfbench calls these two by name
+    def run_parallel(self, batch, schedule, *, workers, **options) -> TrainResult:
+        return self.run(batch, schedule, workers=workers, **options)
 
-        total_epochs = epochs if epochs is not None else self.epochs
-        if max_batch is None:
-            max_batch = max(self.batches)
-        model = self.make_model(seed)
-        optimizer = self.make_optimizer(model, solver)
-        if schedule is None:
-            schedule = self.legw_schedule(self.base_batch, total_epochs)
-        cluster = None
-        if workers > 0:
-            cluster = SimCluster(list(model.parameters()), model.loss, workers)
-        controller = BatchSizeController(
-            self.base_batch,
-            max_batch,
-            target_ratio=target_ratio,
-            hysteresis=hysteresis,
-            growth_factor=growth_factor,
-            cooldown_epochs=cooldown_epochs,
-        )
-        trainer = AdaptiveBatchTrainer(
-            model,
-            optimizer,
-            schedule,
-            self.make_train_iter,
-            base_batch=self.base_batch,
-            controller=controller,
-            estimator=OnlineNoiseScale(),
-            data_seed=seed + 1,
-            cluster=cluster,
-            eval_fn=self.make_eval_fn(model),
-            grad_clip=self.grad_clip,
-            obs=obs,
-            noise_every=noise_every,
-            base_warmup_epochs=self.base_warmup_epochs,
-            rewarmup=rewarmup,
-            checkpoint_dir=checkpoint_dir,
-            keep_last=keep_last,
-        )
-        self.last_adaptive = trainer  # type: ignore[attr-defined]
-        return trainer.run(total_epochs, resume=resume)
+    def run_resilient(self, batch, schedule, *, checkpoint_dir, **options) -> TrainResult:
+        return self.run(batch, schedule, checkpoint_dir=checkpoint_dir, **options)
 
     def run_legw(
         self, batch: int, seed: int = 0, epochs: int | None = None
     ) -> TrainResult:
-        return self.run(
-            batch, self.legw_schedule(batch, epochs), seed=seed, epochs=epochs
-        )
+        return self.run(batch, seed=seed, epochs=epochs)  # LEGW is the default
 
     def run_adam(
         self, batch: int, lr: float, seed: int = 0, epochs: int | None = None

@@ -89,14 +89,14 @@ def run(preset: str = "smoke", seed: int = 0, workload: str = "mnist") -> dict:
     # arms 3+4: closed loop, with and without the LEGW re-warmup
     series: dict[str, list[float]] = {}
     for key, rewarmup in (("adaptive", True), ("adaptive_nowarmup", False)):
-        result = wl.run_adaptive(
+        result = wl.run(
+            adaptive_batch=True,
             max_batch=max_batch,
             seed=seed,
             noise_every=noise_every,
             rewarmup=rewarmup,
         )
-        trainer = wl.last_adaptive
-        epoch_batches = _adaptive_epoch_batches(trainer, wl.epochs)
+        epoch_batches = _adaptive_epoch_batches(wl.last_trainer, wl.epochs)
         arms[key] = {
             "score": score_of(result, wl.metric),
             "steps": int(result.final_metrics.get("optimizer_steps", 0)),

@@ -102,7 +102,7 @@ class NoiseTap:
 
 
 class _InstalledGradients:
-    """Loss-like adapter so a :class:`SimCluster` can drive the Trainer.
+    """Loss-like adapter so a cluster can drive the trainers.
 
     ``loss_fn(batch)`` in the training loop returns this object:
     ``cluster.gradient_step`` has already run (installing the all-reduced
@@ -116,6 +116,21 @@ class _InstalledGradients:
 
     def backward(self) -> None:  # gradients were installed by gradient_step
         return None
+
+
+def installing_loss_fn(step: Callable[[object], float]) -> Callable[[object], object]:
+    """A ``loss_fn`` for the trainers from a cluster step.
+
+    ``step(batch)`` installs the reduced gradients and returns the mean
+    loss.  The adapter is marked ``installs_gradients``: the trainers'
+    amp default is off for it (:class:`repro.train.Trainer`).
+    """
+
+    def loss_fn(batch):
+        return _InstalledGradients(step(batch))
+
+    loss_fn.installs_gradients = True
+    return loss_fn
 
 
 class SimCluster:
@@ -302,18 +317,19 @@ class SimCluster:
 
     # -- Trainer integration -----------------------------------------------
 
-    def as_loss_fn(self) -> Callable[[Sequence[np.ndarray]], _InstalledGradients]:
-        """Adapter so ``Trainer`` can train through this cluster.
+    def as_loss_fn(self, model) -> Callable[[Sequence[np.ndarray]], _InstalledGradients]:
+        """Adapter so the trainers can train through this cluster.
 
-        The returned callable runs :meth:`gradient_step` (installing the
-        reduced gradients) and hands the loop a loss-like object whose
-        ``backward()`` is a no-op — the trainer's clip/step machinery then
-        operates on the all-reduced gradients exactly as it would on
-        single-process ones.
+        ``model`` must own this cluster's parameters (both clusters take
+        it).  The returned callable runs :meth:`gradient_step`
+        (installing the reduced gradients) and hands the loop a loss-like
+        object whose ``backward()`` is a no-op — the trainer's clip/step
+        machinery then operates on the all-reduced gradients exactly as it
+        would on single-process ones.
         """
+        if {id(p) for p in model.parameters()} != {id(p) for p in self.params}:
+            raise ValueError("model does not own this cluster's parameters")
+        return installing_loss_fn(lambda batch: self.gradient_step(batch)[0])
 
-        def loss_fn(batch):
-            mean_loss, _ = self.gradient_step(batch)
-            return _InstalledGradients(mean_loss)
-
-        return loss_fn
+    def close(self) -> None:
+        """Nothing to release: the workers are simulated in-process."""

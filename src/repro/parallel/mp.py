@@ -72,7 +72,7 @@ from repro.parallel.buckets import (
     DEFAULT_BUCKET_MB,
     GradientBuckets,
 )
-from repro.parallel.cluster import NoiseTap, _InstalledGradients, shard_batch
+from repro.parallel.cluster import NoiseTap, installing_loss_fn, shard_batch
 from repro.parallel.cost import CommModel
 from repro.parallel.faults import FaultSpec, WorkerFaultError
 from repro.parallel.perfmodel import DeviceModel
@@ -628,12 +628,7 @@ class MultiprocessCluster:
         reduced gradients into ``model``) and hands the loop a loss-like
         object whose ``backward()`` is a no-op.
         """
-
-        def loss_fn(batch):
-            mean_loss = self.gradient_step(model, batch)
-            return _InstalledGradients(mean_loss)
-
-        return loss_fn
+        return installing_loss_fn(lambda batch: self.gradient_step(model, batch))
 
     def close(self) -> None:
         for worker in self._workers:

@@ -2,8 +2,9 @@
 
 :class:`InferenceEngine` is the compute half of the serving stack — it
 owns a model, pins it into inference configuration (``model.eval()``,
-every forward under :func:`repro.tensor.no_grad`, fused kernels on by
-default), and exposes one task-specific head per application family:
+every forward under :func:`repro.tensor.no_grad`, on the engine path the
+process-wide fused switch selects), and exposes one task-specific head
+per application family:
 
 * ``classify``  — MNIST-LSTM: label + logits per image;
 * ``score``     — PTB LM: next-token log-probabilities for each window;
@@ -33,7 +34,7 @@ from typing import Any, Sequence
 import numpy as np
 
 from repro.models.beam import beam_decode, check_decode_settings
-from repro.tensor import Tensor, fused_kernels, no_grad
+from repro.tensor import no_grad
 from repro.tensor.nnops import log_softmax
 from repro.utils.checkpoint import CheckpointManager, load_checkpoint
 
@@ -52,11 +53,10 @@ class InferenceEngine:
         engine will load).
     task:
         One of :data:`TASKS`; selects the head ``predict`` dispatches to.
-    fused:
-        Run forwards with the fused hot-path kernels (default on — the
-        fused forward agrees with the reference path to float64
-        round-off, padded GNMT batches included, see
-        docs/fused_kernels.md).
+        Forwards run on the fused hot-path kernels unless the
+        process-wide switch (``REPRO_FUSED=0``, ``use_fused(False)``)
+        selects the reference engine; the two agree to float64 round-off,
+        padded GNMT batches included (docs/fused_kernels.md).
     version:
         The checkpoint step these weights correspond to (0 for a fresh
         model).
@@ -79,7 +79,6 @@ class InferenceEngine:
         model,
         task: str,
         *,
-        fused: bool = True,
         version: int = 0,
         beam_size: int = 2,
         length_alpha: float = 0.6,
@@ -97,7 +96,6 @@ class InferenceEngine:
         check_decode_settings(beam_size, length_alpha, max_len_factor)
         self.model = model
         self.task = task
-        self.fused = bool(fused)
         self.version = int(version)
         self.beam_size = beam_size
         self.length_alpha = length_alpha
@@ -169,7 +167,7 @@ class InferenceEngine:
         if self._quantized is not None:
             logits = self._quantized.logits(np.asarray(images))
         else:
-            with no_grad(), fused_kernels(self.fused):
+            with no_grad():
                 logits = self.model(np.asarray(images)).data
         labels = logits.argmax(axis=1)
         return [
@@ -180,7 +178,7 @@ class InferenceEngine:
     def score(self, tokens: np.ndarray) -> list[dict[str, Any]]:
         """PTB head: windows ``(B, T)`` -> next-token log-probs each."""
         tokens = np.asarray(tokens, dtype=np.int64)
-        with no_grad(), fused_kernels(self.fused):
+        with no_grad():
             logits = self.model(tokens)  # (T, B, V)
             logp = log_softmax(logits[logits.shape[0] - 1]).data  # (B, V)
         preds = logp.argmax(axis=1)
@@ -200,7 +198,7 @@ class InferenceEngine:
         src = np.asarray(src, dtype=np.int64)
         src_len = np.asarray(src_len, dtype=np.int64)
         max_len = [int(n * self.max_len_factor) + 2 for n in src_len]
-        with no_grad(), fused_kernels(self.fused):
+        with no_grad():
             hyps = beam_decode(
                 self.model,
                 src,

@@ -39,9 +39,7 @@ from repro.optim.base import Optimizer
 from repro.optim.clip import clip_grad_norm  # noqa: F401  (perfbench wraps it by name)
 from repro.optim.ema import EMAWeights
 from repro.optim.loss_scaler import DynamicLossScaler
-from repro.parallel.cluster import _InstalledGradients
 from repro.schedules.base import Schedule
-from repro.tensor.amp import amp_enabled
 from repro.train.trainer import Trainer, TrainResult
 from repro.utils.checkpoint import CheckpointManager, read_checkpoint_extra
 
@@ -107,12 +105,16 @@ class CheckpointedTrainer(Trainer):
     checkpoint_every = 1
     ema: EMAWeights | None = None
 
-    def run(self, epochs: int, log_every: int = 1, resume: bool = False) -> TrainResult:
-        return self._run(epochs, log_every, resume)
-
     @property
     def envelope(self) -> RecoverySchedule:
         return self.schedule
+
+    def _monitor(self) -> None:
+        """The checkpointed trainers' one health rule: a run that samples
+        (``metrics_every > 0``) is watched by the default training rules."""
+        self.health = (
+            HealthMonitor(default_training_rules()) if self.metrics_every > 0 else None
+        )
 
     def _state(self) -> dict[str, float]:
         return self.schedule.state()
@@ -156,14 +158,16 @@ class CheckpointedTrainer(Trainer):
 
     def _begin(self, resume: bool) -> tuple[int, int]:
         if self.manager is None:
-            if resume:
-                raise ValueError("resume=True requires a checkpoint_dir")
-            return 0, 0
+            return super()._begin(resume)
         start = (self._restore(resume=True) if resume else None) or (0, 0)
         if not resume or self.manager.latest() is None:
             # the baseline checkpoint: an epoch-0 fault needs a rollback target
             self._save(*start)
         return start
+
+    def _finish(self, result: TrainResult, iteration: int) -> None:
+        if self.health is not None:
+            result.final_metrics["health_events"] = float(len(self.health.events))
 
     def _epoch_end(self, log, epoch: int, iteration: int, epochs: int) -> None:
         if self.manager is not None and (
@@ -202,13 +206,10 @@ class ResilientTrainer(CheckpointedTrainer):
         peak-LR back-off factor per recovery, and the re-warmup ramp
         length (default: one epoch of iterations).
     loss_fn:
-        Defaults to ``model.loss``.
-    gradient_fn:
-        Optional ``gradient_fn(batch) -> float`` that computes the loss
-        *and installs gradients* itself — the hook through which a
-        :class:`~repro.parallel.mp.MultiprocessCluster` drives this loop.
-        Its loss is checked like any other; the trainer's backward is
-        then a no-op.  Mutually exclusive with ``loss_scaler``.
+        Defaults to ``model.loss``.  A cluster trains through this loop
+        with ``loss_fn=cluster.as_loss_fn(model)``; its loss is checked
+        like any other, and rollback restores the parameters the cluster
+        reads at its next step.
     loss_scaler / ema:
         Optional :class:`DynamicLossScaler` (scaled backward, skip on
         overflow) and :class:`EMAWeights` (updated after each step); both
@@ -219,20 +220,18 @@ class ResilientTrainer(CheckpointedTrainer):
         gradient storage, a default loss scaler when none is given, and
         float64 master weights in the optimizer (checkpointed with the
         rest of the optimizer state, so rollback and resume stay
-        bit-exact).  ``None`` follows the ``REPRO_AMP`` default; a
-        cluster-driven ``gradient_fn`` keeps the default off and rejects
-        an explicit ``True`` (scale the wire instead — see
-        ``wire_dtype`` in :mod:`repro.parallel.buckets`).
+        bit-exact).  ``None`` follows the ``REPRO_AMP`` default, and is
+        off for a cluster's loss.
     fault_injector:
         Optional ``(iteration, loss) -> loss`` hook, e.g.
         :class:`~repro.parallel.faults.LossFaultInjector` — how the tests
         and the demo produce deterministic divergence.
-    metrics_every / health:
+    metrics_every:
         ``metrics_every > 0`` samples the metrics registry into its
         time-series ring every that many iterations and routes each
         sample through a :class:`~repro.obs.telemetry.HealthMonitor`
-        (``health``, defaulting to one with
-        :func:`~repro.obs.telemetry.default_training_rules`).  Any
+        with the default training rules (``self.health``; see
+        :meth:`CheckpointedTrainer._monitor`).  Any
         **critical** :class:`~repro.obs.telemetry.HealthEvent` raised on
         a periodic sample triggers a rollback; a non-finite loss is
         additionally force-sampled before its rollback so the
@@ -253,7 +252,6 @@ class ResilientTrainer(CheckpointedTrainer):
         *,
         checkpoint_dir: str | pathlib.Path,
         loss_fn: Callable[[object], "object"] | None = None,
-        gradient_fn: Callable[[object], float] | None = None,
         eval_fn: Callable[[], dict[str, float]] | None = None,
         grad_clip: float | None = None,
         obs: Obs | None = None,
@@ -267,7 +265,6 @@ class ResilientTrainer(CheckpointedTrainer):
         ema: EMAWeights | None = None,
         fault_injector: Callable[[int, float], float] | None = None,
         metrics_every: int = 0,
-        health: HealthMonitor | None = None,
     ) -> None:
         if checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
@@ -275,25 +272,8 @@ class ResilientTrainer(CheckpointedTrainer):
             raise ValueError("max_recoveries must be >= 0")
         if not 0.0 < lr_backoff <= 1.0:
             raise ValueError("lr_backoff must be in (0, 1]")
-        if gradient_fn is not None and loss_scaler is not None:
-            raise ValueError("gradient_fn and loss_scaler are mutually exclusive")
-        if amp and gradient_fn is not None:
-            raise ValueError(
-                "amp=True and gradient_fn are mutually exclusive: a cluster "
-                "installs pre-averaged gradients the scaler never saw; use "
-                "wire_dtype compression on the cluster instead"
-            )
-        if amp is None:
-            amp = amp_enabled() and gradient_fn is None
-        if gradient_fn is not None:
-            def installed(batch):  # gradient_fn installs the gradients itself
-                return _InstalledGradients(gradient_fn(batch))
-
-            loss_fn = installed
-        elif loss_fn is None:
-            loss_fn = model.loss
         super().__init__(
-            loss_fn,
+            model.loss if loss_fn is None else loss_fn,
             optimizer,
             RecoverySchedule(schedule),
             train_iter,
@@ -314,9 +294,7 @@ class ResilientTrainer(CheckpointedTrainer):
         self.rewarmup_iters = int(rewarmup_iters)
         self.ema = ema
         self.fault_injector = fault_injector
-        if health is None and metrics_every > 0:
-            health = HealthMonitor(default_training_rules())
-        self.health = health
+        self._monitor()
         self.recoveries = 0
         self.faults_detected = 0
 
@@ -362,5 +340,4 @@ class ResilientTrainer(CheckpointedTrainer):
     def _finish(self, result: TrainResult, iteration: int) -> None:
         result.final_metrics["recoveries"] = float(self.recoveries)
         result.final_metrics["faults_detected"] = float(self.faults_detected)
-        if self.health is not None:
-            result.final_metrics["health_events"] = float(len(self.health.events))
+        super()._finish(result, iteration)

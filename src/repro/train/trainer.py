@@ -138,8 +138,11 @@ class Trainer:
         optimizer keeps float64 master weights.  Overflow steps are
         *skipped* (scale backs off, the schedule marches on) — never
         clipped.  ``None`` (the default) follows the global
-        :func:`repro.tensor.use_amp` / ``REPRO_AMP`` switch; an explicit
-        bool overrides it.
+        :func:`repro.tensor.use_amp` / ``REPRO_AMP`` switch, except for a
+        cluster's loss (``as_loss_fn``), where it is off: a cluster
+        installs pre-averaged gradients the loss scaler never saw, so
+        compress its wire (``wire_dtype``) instead.  ``True`` with a
+        cluster's loss raises ``ValueError`` for the same reason.
     loss_scaler:
         The scaler to use under ``amp`` (a default-configured
         :class:`DynamicLossScaler` is created when omitted).  May also
@@ -163,8 +166,15 @@ class Trainer:
     ) -> None:
         if metrics_every < 0:
             raise ValueError("metrics_every must be >= 0")
+        installs = getattr(loss_fn, "installs_gradients", False)
+        if amp and installs:
+            raise ValueError(
+                "amp=True with a cluster's loss: the cluster installs "
+                "pre-averaged gradients the loss scaler never saw; compress "
+                "the wire with wire_dtype"
+            )
         if amp is None:
-            amp = amp_enabled()
+            amp = amp_enabled() and not installs
         self.loss_fn = loss_fn
         self.optimizer = optimizer
         self.schedule = schedule
@@ -186,8 +196,10 @@ class Trainer:
     health = None  # a HealthMonitor: a critical event on a sample is a fault
     _run_span = "train"
 
-    def run(self, epochs: int, log_every: int = 1) -> TrainResult:
-        return self._run(epochs, log_every, resume=False)
+    def run(self, epochs: int, log_every: int = 1, resume: bool = False) -> TrainResult:
+        """Train to ``epochs`` epochs; ``resume`` continues from the newest
+        checkpoint, so it needs a checkpointed trainer."""
+        return self._run(epochs, log_every, resume)
 
     def _span(self, name: str):
         """The named phase span when a tracer is attached, else a no-op."""
@@ -354,6 +366,8 @@ class Trainer:
 
     def _begin(self, resume: bool) -> tuple[int, int]:
         """Run start: the ``(iteration, epoch)`` to train from."""
+        if resume:
+            raise ValueError("resume=True requires a checkpoint_dir")
         return 0, 0
 
     def _epoch_start(self, epoch: int, iteration: int) -> None:

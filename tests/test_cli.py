@@ -9,6 +9,12 @@ import pytest
 from repro.cli import main
 
 
+def _final_metrics(path) -> dict:
+    """name -> value of a metrics JSONL's snapshot lines."""
+    lines = [json.loads(line) for line in open(path)]
+    return {l["name"]: l.get("value") for l in lines if "name" in l}
+
+
 class TestList:
     def test_lists_experiments_and_workloads(self, capsys):
         assert main(["list"]) == 0
@@ -41,6 +47,21 @@ class TestExperiment:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["experiment", "figure99"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["experiment", "figure4", "--no-fused", "--amp"],
+         ["train", "mnist", "--no-fused", "--amp", "--resume"]],
+        ids=["experiment", "refused-train"],
+    )
+    def test_engine_switches_are_restored_on_exit(self, capsys, argv):
+        from repro.tensor import amp_enabled, fused_enabled, fused_kernels
+        from repro.tensor.amp import mixed_precision
+
+        with fused_kernels(True), mixed_precision(False):
+            main(argv)
+            assert fused_enabled() and not amp_enabled()
+        capsys.readouterr()
 
 
 class TestTrain:
@@ -77,11 +98,11 @@ class TestTrain:
 class TestTrainResilience:
     def test_resume_requires_checkpoint_dir(self, capsys):
         assert main(["train", "mnist", "--resume"]) == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
+        assert "resume requires checkpoint_dir" in capsys.readouterr().err
 
     def test_fault_rate_requires_checkpoint_dir(self, capsys):
         assert main(["train", "mnist", "--fault-rate", "0.1"]) == 2
-        assert "--checkpoint-dir" in capsys.readouterr().err
+        assert "fault_rate requires checkpoint_dir" in capsys.readouterr().err
 
     @pytest.mark.slow
     def test_checkpointed_train_and_resume(self, capsys, tmp_path):
@@ -119,14 +140,61 @@ class TestTrainResilience:
 class TestTrainParallel:
     def test_workers_rejects_nonpositive(self, capsys):
         assert main(["train", "mnist", "--workers", "0"]) == 2
-        assert "--workers" in capsys.readouterr().err
+        assert "workers must be >= 1" in capsys.readouterr().err
 
-    def test_workers_rejects_checkpoint_combo_on_sim_backend(self, capsys):
-        # only the mp backend can drive the resilient trainer
-        assert main(
-            ["train", "mnist", "--workers", "2", "--checkpoint-dir", "x"]
-        ) == 2
-        assert "--parallel-backend mp" in capsys.readouterr().err
+    def test_workers_with_checkpoint_dir_runs_on_sim_backend(
+        self, capsys, tmp_path
+    ):
+        code = main(
+            ["train", "mnist", "--batch", "64", "--epochs", "1",
+             "--workers", "2", "--checkpoint-dir", str(tmp_path)]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "parallel: 2 workers (sim)" in out and "resilience:" in out
+
+    @pytest.mark.parametrize(
+        "flags, reason",
+        [(["--wire-dtype", "fp16"], "require workers"),
+         (["--workers", "2", "--stochastic-rounding"],
+          "requires wire_dtype fp16"),
+         (["--workers", "2", "--wire-dtype", "fp16", "--bucket-mb", "0"],
+          "bucketed reduction"),
+         (["--workers", "2", "--wire-dtype", "fp16", "--stochastic-rounding",
+           "--checkpoint-dir", "x"], "rounding stream is not checkpointed"),
+         (["--workers", "2", "--amp"], "compress the wire with wire_dtype"),
+         (["--adaptive-batch", "--noise-every", "0"],
+          "noise_every must be >= 1")],
+        ids=["wire-without-workers", "stochastic-without-fp16",
+             "wire-monolithic", "stochastic-checkpointed", "amp-workers",
+             "adaptive-noise-every-0"],
+    )
+    def test_refusal_prints_the_validator_reason(self, capsys, flags, reason):
+        assert main(["train", "mnist", *flags]) == 2
+        assert reason in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--checkpoint-dir", "ckpt", "--parallel-backend", "mp"],
+         ["--adaptive-batch"]],
+        ids=["checkpoint-mp", "adaptive"],
+    )
+    def test_reduction_flags_reach_every_policy(self, capsys, tmp_path, flags):
+        metrics = tmp_path / "m.jsonl"
+        flags = [str(tmp_path / f) if f == "ckpt" else f for f in flags]
+        code = main(
+            ["train", "mnist", "--epochs", "1", "--workers", "2",
+             "--allreduce-algo", "tree", "--bucket-mb", "0.01",
+             "--metrics-out", str(metrics), *flags]
+        )
+        capsys.readouterr()
+        assert code == 0
+        final = _final_metrics(metrics)
+        assert "allreduce/ring/calls" not in final
+        # 0.01 MiB buckets split every step's reduction into several
+        steps = final["train/iterations"]
+        assert final["allreduce/tree/calls"] == final["parallel/buckets/reduced"]
+        assert final["parallel/buckets/reduced"] > steps
 
     def test_unknown_algorithm_rejected(self):
         with pytest.raises(SystemExit):
@@ -180,7 +248,7 @@ class TestAdaptiveBatch:
             ("--max-batch", "128"),
         ):
             assert main(["train", "mnist", flag, value]) == 2
-            assert "--adaptive-batch" in capsys.readouterr().err
+            assert "require adaptive_batch" in capsys.readouterr().err
 
     def test_adaptive_owns_the_batch_size(self, capsys):
         assert main(
@@ -193,13 +261,25 @@ class TestAdaptiveBatch:
             ["train", "mnist", "--adaptive-batch", "--fault-rate", "0.1",
              "--checkpoint-dir", str(tmp_path)]
         ) == 2
-        assert "no rollback path" in capsys.readouterr().err
+        assert "has no rollback" in capsys.readouterr().err
 
     def test_adaptive_requires_legw_schedule(self, capsys):
         assert main(
             ["train", "mnist", "--adaptive-batch", "--schedule", "sqrt"]
         ) == 2
-        assert "legw" in capsys.readouterr().err
+        assert "LEGW schedule" in capsys.readouterr().err
+
+    def test_adaptive_samples_metrics_every_n(self, capsys, tmp_path):
+        metrics = tmp_path / "m.jsonl"
+        code = main(
+            ["train", "mnist", "--adaptive-batch", "--epochs", "1",
+             "--metrics-every", "4", "--metrics-out", str(metrics)]
+        )
+        capsys.readouterr()
+        assert code == 0
+        lines = [json.loads(line) for line in open(metrics)]
+        # one epoch at the base batch: 64 steps, a sample every 4
+        assert sum(l.get("type") == "sample" for l in lines) == 16
 
     @pytest.mark.slow
     def test_adaptive_train_reports_trajectory(self, capsys):
@@ -264,28 +344,22 @@ class TestServeBench:
          (["--fused"], False, True), (["--no-fused"], True, False)],
     )
     def test_engine_follows_the_fused_switch(
-        self, capsys, monkeypatch, flags, switch, expected
+        self, capsys, flags, switch, expected
     ):
-        """No flag means the REPRO_FUSED setting, as for ``train``."""
-        from repro.serve import InferenceEngine
+        """No flag means the REPRO_FUSED setting, as for ``train``; the ops
+        the served forwards built show which engine path ran."""
+        from repro.obs import OpProfiler
         from repro.tensor import fused_kernels
 
-        built = []
-        init = InferenceEngine.__init__
-
-        def spy(self, *args, **kwargs):
-            init(self, *args, **kwargs)
-            built.append(self.fused)
-
-        monkeypatch.setattr(InferenceEngine, "__init__", spy)
-        with fused_kernels(switch):
+        profiler = OpProfiler()
+        with fused_kernels(switch), profiler.attached_to_engine():
             code = main(
                 ["serve-bench", "mnist", "--mode", "closed", "--clients", "1",
                  "--requests-per-client", "1", *flags]
             )
         capsys.readouterr()
         assert code == 0
-        assert built == [expected]
+        assert any(op.startswith("fused_") for op in profiler.forward) == expected
 
     def test_resnet_has_no_serving_head(self):
         with pytest.raises(SystemExit):

@@ -92,6 +92,14 @@ class TestSimClusterParity:
         for g, f in zip(grads, full):
             np.testing.assert_allclose(g, f, atol=1e-10)
 
+    def test_loss_fn_needs_the_model_that_owns_the_parameters(self):
+        batch, model = _problem()
+        cluster = SimCluster(model.parameters(), model.loss, 2)
+        _, other = _problem()
+        with pytest.raises(ValueError, match="does not own"):
+            cluster.as_loss_fn(other)
+        assert cluster.as_loss_fn(model)(batch).data == cluster.gradient_step(batch)[0]
+
     def test_drop_last_false_epoch_completes(self):
         """An epoch whose tail batch is smaller than the worker count
         trains to completion through the Trainer (the regression this PR
@@ -102,7 +110,7 @@ class TestSimClusterParity:
         batches = BatchIterator(train, 4, rng=2, drop_last=False)
         cluster = SimCluster(model.parameters(), model.loss, 3)
         trainer = Trainer(
-            cluster.as_loss_fn(),
+            cluster.as_loss_fn(model),
             SGD(model, lr=0.05),
             ConstantLR(0.05),
             batches,

@@ -54,7 +54,7 @@ def _train(kind, wl, batch, seed, tmp_path):
         trainer = AdaptiveBatchTrainer(
             model, optimizer, schedule, wl.make_train_iter,
             base_batch=batch, controller=BatchSizeController(batch, batch),
-            data_seed=seed + 1, grad_clip=wl.grad_clip,
+            data_seed=seed + 1, grad_clip=wl.grad_clip, amp=False,
         )
     result = trainer.run(2)
     assert not result.diverged
@@ -196,7 +196,7 @@ def _build(kind, tmp_path, train, *, fault=None, make_iter=None, **kwargs):
     return AdaptiveBatchTrainer(
         model, optimizer, schedule, make_iter, base_batch=8,
         controller=BatchSizeController(8, 8), data_seed=1, loss_fn=loss_fn,
-        noise_every=64, **kwargs,
+        noise_every=64, amp=kwargs.pop("amp", False), **kwargs,
     )
 
 

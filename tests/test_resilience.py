@@ -172,17 +172,6 @@ class TestRollback:
 
 
 class TestResilientTrainerValidation:
-    def test_scaler_and_gradient_fn_exclusive(self, tmp_path, mnist_small):
-        model = make_model()
-        with pytest.raises(ValueError):
-            ResilientTrainer(
-                model, Momentum(model, lr=0.1), ConstantLR(0.1),
-                BatchIterator(mnist_small, 8, rng=1),
-                checkpoint_dir=tmp_path,
-                gradient_fn=lambda b: 0.0,
-                loss_scaler=DynamicLossScaler(),
-            )
-
     def test_one_shot_iterator_detected(self, tmp_path, mnist_small):
         model = make_model()
         batches = iter(BatchIterator(mnist_small, 8, rng=1))

@@ -106,15 +106,15 @@ class TestInferenceEngine:
 
     def test_classify_matches_direct_forward(self):
         model = make_model()
-        engine = InferenceEngine(model, "mnist", fused=False)
+        engine = InferenceEngine(model, "mnist")
         xs = [make_image(i) for i in range(4)]
-        results = engine.predict(xs)
         from repro.tensor import fused_kernels, no_grad
 
-        # pin the reference path: the engine overrides any ambient
-        # REPRO_FUSED setting, the bare forward would not
-        with no_grad(), fused_kernels(False):
-            direct = model(np.stack(xs)).data
+        # both forwards on the reference path, whatever REPRO_FUSED says
+        with fused_kernels(False):
+            results = engine.predict(xs)
+            with no_grad():
+                direct = model(np.stack(xs)).data
         for i, res in enumerate(results):
             assert res["label"] == int(direct[i].argmax())
             assert np.array_equal(res["logits"], direct[i])
@@ -123,14 +123,31 @@ class TestInferenceEngine:
         # the fused full-sequence LSTM batches the input projection, so
         # serving with fused kernels on agrees with the reference engine
         # to float64 round-off (docs/fused_kernels.md)
+        from repro.tensor import fused_kernels
+
         xs = [make_image(i) for i in range(3)]
-        ref = InferenceEngine(make_model(), "mnist", fused=False).predict(xs)
-        fus = InferenceEngine(make_model(), "mnist", fused=True).predict(xs)
+        with fused_kernels(False):
+            ref = InferenceEngine(make_model(), "mnist").predict(xs)
+        with fused_kernels(True):
+            fus = InferenceEngine(make_model(), "mnist").predict(xs)
         for a, b in zip(ref, fus):
             assert a["label"] == b["label"]
             np.testing.assert_allclose(
                 a["logits"], b["logits"], rtol=1e-12, atol=1e-12
             )
+
+    @pytest.mark.parametrize("switch", [False, True])
+    def test_forwards_follow_the_fused_switch(self, switch):
+        """A library-built engine runs the path the process-wide switch
+        selects: under ``use_fused(False)`` it builds no ``fused_*`` op."""
+        from repro.obs import OpProfiler
+        from repro.tensor import fused_kernels
+
+        engine = InferenceEngine(make_model(), "mnist")
+        profiler = OpProfiler()
+        with fused_kernels(switch), profiler.attached_to_engine():
+            engine.predict([make_image(i) for i in range(2)])
+        assert any(op.startswith("fused_") for op in profiler.forward) == switch
 
     def test_ptb_score(self):
         lm = PTBLanguageModel(vocab_size=13, rng=5, embed_dim=8, hidden=8)
