@@ -170,6 +170,7 @@ class Router:
         self.scale_downs = 0
         self._staged: tuple[int, pathlib.Path] | None = None
         self._swap_waiters: list[tuple[int, threading.Event]] = []
+        self._swapped_step = -1  # the newest step counted in swaps_total
         self._high_ticks = 0
         self._low_ticks = 0
         self._running = False
@@ -464,7 +465,11 @@ class Router:
             for step, event in self._swap_waiters:
                 if fleet >= step:
                     fired.append(event)
-                    self.swaps_total += 1
+                    # one swap per step converged to, however many
+                    # waiters (a manager poll and a caller) asked for it
+                    if step > self._swapped_step:
+                        self.swaps_total += 1
+                        self._swapped_step = step
                 else:
                     still.append((step, event))
             self._swap_waiters = still

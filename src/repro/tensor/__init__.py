@@ -27,7 +27,14 @@ against.
 Emulated mixed precision (:mod:`repro.tensor.amp`) rounds op outputs to
 the float16 grid inside :func:`autocast`; view ops are exempt, so a
 reshape or slice keeps sharing its parent's buffer.
+
+Importing the package sets glibc's allocator, once, to keep freed arrays
+in the process heap (:mod:`repro.tensor.heap`); without it every training
+step faults its buffers in again.  :data:`HEAP_POLICY_APPLIED` says
+whether the setting took.
 """
+
+from repro.tensor.heap import HEAP_POLICY_APPLIED
 
 from repro.tensor.tensor import (
     Tensor,
@@ -68,6 +75,7 @@ from repro.tensor.amp import (
 from repro.tensor.gradcheck import gradcheck, numeric_grad, GradcheckReport
 
 __all__ = [
+    "HEAP_POLICY_APPLIED",
     "Tensor",
     "as_tensor",
     "no_grad",

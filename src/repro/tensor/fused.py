@@ -91,31 +91,30 @@ def _fast_sigmoid(x: np.ndarray) -> np.ndarray:
     input with boolean masks (fancy gather/scatter, slow at LSTM gate
     sizes).  This evaluates the same two expressions —
     ``1 / (1 + exp(-x))`` for ``x >= 0`` and ``e / (1 + e)`` with
-    ``e = exp(x)`` otherwise — on the whole array via ``exp(-|x|)`` and a
-    single ``where`` select, so every element goes through exactly the
-    arithmetic the reference applies to it (the parity suite asserts
-    ``array_equal``).
+    ``e = exp(x)`` otherwise — on the whole array via ``exp(-|x|)``, so
+    every element goes through exactly the arithmetic the reference
+    applies to it (the parity suite asserts ``array_equal``).
     """
-    e = np.exp(-np.abs(x))
-    num = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    np.divide(num, e, out=num)
-    return num
+    return _sigmoid_into(x, np.empty_like(x), np.empty_like(x))
 
 
 def _sigmoid_into(x: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """:func:`_fast_sigmoid` writing into ``out`` via scratch ``tmp``.
 
-    Same arithmetic in the same order (so still bit-identical to the
-    reference sigmoid); the two buffers let the LSTM layer loop run its
-    gate math allocation-free.  ``tmp`` may be reused across calls.
+    The numerator is ``max(x >= 0, exp(-|x|))``: 1.0 where ``x >= 0`` and
+    ``exp(x)`` elsewhere, since ``exp(-|x|) <= 1``; a NaN propagates.
+    Two in-place ufuncs, where a ``where`` select would allocate a
+    temporary and take about 4× as long at (128, 128).  The two buffers
+    let the LSTM layer loop run its gate math allocation-free; ``tmp``
+    may be reused across calls.
     """
     np.abs(x, out=tmp)
     np.negative(tmp, out=tmp)
     np.exp(tmp, out=tmp)  # tmp = exp(-|x|)
-    num = np.where(x >= 0, 1.0, tmp)
+    np.greater_equal(x, 0.0, out=out)
+    np.maximum(out, tmp, out=out)
     tmp += 1.0
-    np.divide(num, tmp, out=out)
+    np.divide(out, tmp, out=out)
     return out
 
 # --------------------------------------------------------------------------

@@ -42,6 +42,7 @@ checks, and no span or metric object is allocated per iteration.
 from __future__ import annotations
 
 import math
+import resource
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
@@ -90,6 +91,12 @@ def _record_point(
         log.record("grad_norm", step, norm)
 
 
+def _proc_usage() -> tuple[int, float]:
+    """The process's minor page faults and system CPU seconds so far."""
+    usage = resource.getrusage(resource.RUSAGE_SELF)
+    return usage.ru_minflt, usage.ru_stime
+
+
 class Trainer:
     """Drive a model through ``epochs`` epochs of mini-batch training.
 
@@ -126,9 +133,12 @@ class Trainer:
     metrics_every:
         Sample the metrics registry into its time-series ring (and any
         attached JSONL stream) every this many iterations; ``0`` (the
-        default) keeps end-of-run snapshots only.  With metrics disabled
-        the flag is inert — the hot loop sees one hoisted integer and
-        allocates nothing per iteration.
+        default) keeps end-of-run snapshots only.  Each sample first adds
+        the process's minor page faults and system CPU time since the
+        previous one to ``proc/minor_faults`` and ``proc/sys_ms``.  With
+        metrics disabled the flag is inert — the hot loop sees one
+        hoisted integer, allocates nothing per iteration and reads no
+        resource usage.
     amp:
         Emulated mixed-precision training (:mod:`repro.tensor.amp`):
         the forward pass runs under :func:`~repro.tensor.amp.autocast`
@@ -216,7 +226,18 @@ class Trainer:
         return result
 
     def _sample(self, mreg, iteration: int) -> bool:
-        """Sample the registry; True when the health monitor calls it a fault."""
+        """Sample the registry; True when the health monitor calls it a fault.
+
+        First counts the process's minor page faults and system CPU time
+        since the previous sample (since the run's start for the first)
+        into ``proc/minor_faults`` and ``proc/sys_ms``: the kernel's share
+        of a step, which happens inside numpy calls where no span sees it.
+        """
+        faults, sys_s = _proc_usage()
+        faults0, sys_s0 = self._proc_seen
+        mreg.counter("proc/minor_faults").inc(faults - faults0)
+        mreg.counter("proc/sys_ms").inc((sys_s - sys_s0) * 1e3)
+        self._proc_seen = (faults, sys_s)
         sample = mreg.sample(step=iteration)
         return self.health is not None and any(
             event.critical for event in self.health.observe(sample)
@@ -227,6 +248,8 @@ class Trainer:
         mreg = obs.metrics if obs is not None else None
         # hoisted so the disabled path costs one int compare per iteration
         sample_every = self.metrics_every if mreg is not None else 0
+        if sample_every:
+            self._proc_seen = _proc_usage()
         span = self._span
         optimizer = self.optimizer
         params = [p for _, p in optimizer.params]

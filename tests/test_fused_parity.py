@@ -41,6 +41,7 @@ from repro.tensor import (
 )
 from repro.tensor import fused
 from repro.tensor.env import env_flag
+from repro.tensor.tensor import stable_sigmoid
 
 seeds = st.integers(0, 2**31 - 1)
 
@@ -65,6 +66,27 @@ def _mask_rows(rng, seq_len, kinds):
         "random": lambda: (rng.random(seq_len) < 0.5).astype(float),
     }
     return np.stack([cols[kind]() for kind in kinds], axis=1)
+
+
+# ---------------------------------------------------------------------------
+# the gate sigmoid
+# ---------------------------------------------------------------------------
+
+
+class TestFastSigmoid:
+    SPECIAL = np.array(
+        [0.0, -0.0, np.inf, -np.inf, np.nan, 700.0, -700.0,
+         745.2, -745.2, 1e-320, -1e-320, 1.0, -1.0]
+    )
+
+    def test_special_values_match_reference(self):
+        x = self.SPECIAL.reshape(1, -1)
+        want = stable_sigmoid(x)
+        out, tmp = np.empty_like(x), np.empty_like(x)
+        assert np.array_equal(fused._fast_sigmoid(x), want, equal_nan=True)
+        assert np.array_equal(
+            fused._sigmoid_into(x, out, tmp), want, equal_nan=True
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import resource
 
 import numpy as np
 import pytest
@@ -70,6 +71,51 @@ class TestTrainerInstrumentation:
         assert obs.metrics.counter("train/iterations").value == steps
         assert obs.metrics.histogram("train/grad_norm").count == steps
         assert np.isfinite(obs.metrics.gauge("train/loss").value)
+
+    def test_sampled_run_counts_process_faults_and_sys_time(self, rng):
+        ds, model, loss_fn = make_problem(rng)
+        it = BatchIterator(ds, 16, rng=1)
+        obs = Obs(metrics=True)
+        Trainer(
+            loss_fn, SGD(model, lr=0.1), ConstantLR(0.1), it, obs=obs,
+            metrics_every=1,
+        ).run(2)
+        samples = list(obs.metrics.samples)
+        assert len(samples) == 2 * it.steps_per_epoch
+        for sample in samples:
+            kinds = {
+                i["name"]: i["type"] for i in sample["instruments"]
+                if i["name"].startswith("proc/")
+            }
+            assert kinds == {
+                "proc/minor_faults": "counter", "proc/sys_ms": "counter"
+            }
+        assert obs.metrics.counter("proc/minor_faults").value >= 0
+        assert obs.metrics.counter("proc/sys_ms").value >= 0
+
+    @pytest.mark.parametrize("with_metrics", [False, True])
+    def test_unsampled_run_reads_no_resource_usage(
+        self, rng, monkeypatch, with_metrics
+    ):
+        calls = []
+        real = resource.getrusage
+        monkeypatch.setattr(
+            resource, "getrusage", lambda who: calls.append(who) or real(who)
+        )
+        ds, model, loss_fn = make_problem(rng)
+        obs = Obs(metrics=True) if with_metrics else None
+        Trainer(
+            loss_fn, SGD(model, lr=0.1), ConstantLR(0.1),
+            BatchIterator(ds, 16, rng=1), obs=obs, metrics_every=0,
+        ).run(2)
+        # metrics_every without a registry is inert: it reads nothing either
+        Trainer(
+            loss_fn, SGD(model, lr=0.1), ConstantLR(0.1),
+            BatchIterator(ds, 16, rng=1), metrics_every=1,
+        ).run(1)
+        assert calls == []
+        if with_metrics:
+            assert "proc/minor_faults" not in obs.metrics
 
     def test_result_identical_with_and_without_obs(self, rng):
         """Instrumentation must not perturb the training protocol."""

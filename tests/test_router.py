@@ -177,6 +177,26 @@ class TestCoordinatedSwap:
             assert router.counters()["swaps"] == 1
             assert router.counters()["shed"] == 0
 
+    def test_repeated_swap_to_one_step_counts_once(self, tmp_path):
+        # the manager poll and a caller can both ask for the same step;
+        # every waiter fires, but the fleet swapped once
+        mgr = CheckpointManager(tmp_path, keep_last=5)
+        mgr.save(make_model(rng=3), iteration=1, step=1)
+
+        def factory():
+            engine = InferenceEngine(make_model(), "mnist")
+            engine.load_version(CheckpointManager(tmp_path).latest())
+            return engine
+
+        router = Router(factory, replicas=2, batcher=BATCHER)
+        with router:
+            new_path = mgr.save(make_model(rng=4), iteration=2, step=2)
+            first = router.request_swap(new_path)
+            second = router.request_swap(new_path)
+            assert first.wait(30.0) and second.wait(30.0)
+            assert router.versions() == {0: 2, 1: 2}
+            assert router.counters()["swaps"] == 1
+
     def test_manager_poll_stages_fleet_swap(self, tmp_path):
         mgr = CheckpointManager(tmp_path, keep_last=5)
         mgr.save(make_model(rng=3), iteration=1, step=1)
