@@ -18,7 +18,9 @@ Gates the claims behind ``docs/adaptive_batch.md`` on the real machinery:
    this under ``REPRO_BENCH_SMOKE=1``).
 
 A full (non-smoke) run refreshes ``BENCH_adaptive.json`` at the repo
-root; ``REPRO_BENCH_SMOKE=1`` runs shorter budgets and skips the write.
+root, naming the engine that ran it; the step comparison is written
+before its gate, with ``gate_met``.  ``REPRO_BENCH_SMOKE=1`` runs shorter
+budgets and skips the write.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from repro.analysis.noise_scale import estimate_noise_scale
 from repro.experiments import build_workload
 from repro.parallel.cluster import SimCluster
 from repro.parallel.perfmodel import DeviceModel
+from repro.tensor import fused_enabled
 
 EPOCHS = 10 if SMOKE else 18
 STEP_REDUCTION_TARGET = 0.20  # adaptive must save >= 20% of optimizer steps
@@ -84,11 +87,22 @@ def test_adaptive_beats_fixed_batch(benchmark):
     adaptive_time = _modeled_time(wl, _epoch_batches(trainer, EPOCHS))
     saved = 1.0 - adaptive_steps / fixed_steps
 
+    engine = "fused" if fused_enabled() else "reference"
+    gate_met = (
+        not adaptive.diverged
+        and not fixed.diverged
+        and better(adaptive_score, fixed_score, wl.mode)
+        and saved >= STEP_REDUCTION_TARGET
+        and adaptive_time <= fixed_time
+    )
+
+    # the artifacts record the run before the gate judges it, so a failed
+    # full run still shows what this engine measured
     save_result(
         "adaptive_batch_steps",
         (
             f"adaptive vs fixed batch (mnist smoke, {EPOCHS} epochs, "
-            f"base batch {wl.base_batch})\n"
+            f"base batch {wl.base_batch}, {engine} engine)\n"
             f"  {wl.metric} : fixed {fixed_score:.4f}  adaptive "
             f"{adaptive_score:.4f}\n"
             f"  steps    : fixed {fixed_steps}  adaptive {adaptive_steps}  "
@@ -96,9 +110,31 @@ def test_adaptive_beats_fixed_batch(benchmark):
             f"{100 * STEP_REDUCTION_TARGET:.0f}%)\n"
             f"  modeled  : fixed {fixed_time:.3g}  adaptive "
             f"{adaptive_time:.3g}\n"
-            f"  growth   : {trainer.trajectory}"
+            f"  growth   : {trainer.trajectory}\n"
+            f"  gate met : {gate_met}"
         ),
     )
+    if not SMOKE:
+        merge_bench_json(
+            BENCH_JSON,
+            {
+                "steps": {
+                    "workload": "mnist-smoke",
+                    "engine": engine,
+                    "epochs": EPOCHS,
+                    "fixed_steps": fixed_steps,
+                    "adaptive_steps": adaptive_steps,
+                    "steps_saved_fraction": round(saved, 3),
+                    "target_fraction": STEP_REDUCTION_TARGET,
+                    "fixed_score": round(fixed_score, 4),
+                    "adaptive_score": round(adaptive_score, 4),
+                    "fixed_modeled_time": round(fixed_time, 1),
+                    "adaptive_modeled_time": round(adaptive_time, 1),
+                    "trajectory": [list(t) for t in trainer.trajectory],
+                    "gate_met": gate_met,
+                }
+            }
+        )
 
     assert not adaptive.diverged and not fixed.diverged
     assert better(adaptive_score, fixed_score, wl.mode), (
@@ -112,26 +148,6 @@ def test_adaptive_beats_fixed_batch(benchmark):
     assert adaptive_time <= fixed_time, (
         f"adaptive modeled wall-clock {adaptive_time:.3g} worse than "
         f"fixed-batch {fixed_time:.3g}"
-    )
-    if SMOKE:
-        return
-    merge_bench_json(
-        BENCH_JSON,
-        {
-            "steps": {
-                "workload": "mnist-smoke",
-                "epochs": EPOCHS,
-                "fixed_steps": fixed_steps,
-                "adaptive_steps": adaptive_steps,
-                "steps_saved_fraction": round(saved, 3),
-                "target_fraction": STEP_REDUCTION_TARGET,
-                "fixed_score": round(fixed_score, 4),
-                "adaptive_score": round(adaptive_score, 4),
-                "fixed_modeled_time": round(fixed_time, 1),
-                "adaptive_modeled_time": round(adaptive_time, 1),
-                "trajectory": [list(t) for t in trainer.trajectory],
-            }
-        }
     )
 
 

@@ -4,14 +4,14 @@
 Public surface
 --------------
 * ``repro.tensor``      — reverse-mode autodiff engine on NumPy
-* ``repro.nn``          — layers: LSTM, attention, conv/BN, losses
-* ``repro.optim``       — SGD/Momentum/Nesterov/Adagrad/RMSprop/Adam/
-                          Adadelta + LARS, gradient clipping
+* ``repro.nn``          — layers: LSTM, attention, conv/BN
+* ``repro.optim``       — SGD/Momentum/Adam/Adadelta/LAMB + LARS,
+                          gradient clipping
 * ``repro.schedules``   — **LEGW** (the paper's contribution), scaling
                           rules, warmup and decay schedules
 * ``repro.data``        — synthetic MNIST/PTB/WMT/ImageNet stand-ins
 * ``repro.models``      — the five applications of Table 1
-* ``repro.train``       — trainer, metrics (accuracy/perplexity/BLEU), tuner
+* ``repro.train``       — trainer, metrics (accuracy/BLEU), tuner
 * ``repro.parallel``    — simulated data-parallel cluster + cost models
 * ``repro.serve``       — inference serving: dynamic batching,
                           checkpoint hot-swap, load generation

@@ -123,8 +123,9 @@ class AdaptiveBatchTrainer(CheckpointedTrainer):
         Re-warmup length per growth event, in base-batch epochs
         (``rewarmup=False`` disables re-warmup entirely — the CLARS-style
         no-warmup ablation arm — leaving only the sqrt rescale).
-    checkpoint_dir / keep_last / checkpoint_every:
-        Optional hardened checkpointing; required for ``resume=True``.
+    checkpoint_dir / keep_last:
+        Optional hardened checkpointing after every epoch; required for
+        ``resume=True``.
     amp / metrics_every:
         As for :class:`~repro.train.resilience.ResilientTrainer`; the loss
         scaler rides in the checkpoints, so an amp run resumes bit-exactly.
@@ -154,7 +155,6 @@ class AdaptiveBatchTrainer(CheckpointedTrainer):
         rewarmup: bool = True,
         checkpoint_dir: str | pathlib.Path | None = None,
         keep_last: int | None = 3,
-        checkpoint_every: int = 1,
         amp: bool | None = None,
         metrics_every: int = 0,
     ) -> None:
@@ -164,8 +164,6 @@ class AdaptiveBatchTrainer(CheckpointedTrainer):
             raise ValueError("noise_every must be >= 1")
         if probe_ratio < 2:
             raise ValueError("probe_ratio must be >= 2 (b_small must shrink)")
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         if cluster is not None:
             cluster.noise_tap = True
         if loss_fn is None:
@@ -195,7 +193,6 @@ class AdaptiveBatchTrainer(CheckpointedTrainer):
         self.rewarmup = bool(rewarmup)
         if checkpoint_dir is not None:
             self.manager = CheckpointManager(checkpoint_dir, keep_last=keep_last)
-        self.checkpoint_every = int(checkpoint_every)
 
         self.current_batch = self.base_batch
         self.growths = 0
@@ -311,10 +308,10 @@ class AdaptiveBatchTrainer(CheckpointedTrainer):
             mreg.gauge("adapt/batch_size").set(float(self.current_batch))
             self.estimator.observe(mreg)
 
-    def _epoch_end(self, log, epoch: int, iteration: int, epochs: int) -> None:
+    def _epoch_end(self, log, epoch: int, iteration: int) -> None:
         log.record("batch_size", epoch - 1, float(self.current_batch))
         log.record("noise_scale", epoch - 1, self.estimator.noise_scale)
-        super()._epoch_end(log, epoch, iteration, epochs)
+        super()._epoch_end(log, epoch, iteration)
 
     def _finish(self, result: TrainResult, iteration: int) -> None:
         result.final_metrics["optimizer_steps"] = float(iteration)

@@ -6,7 +6,7 @@ geometry, task shape and metric of the original (see DESIGN.md §2 for the
 substitution arguments).  Every generator is a pure function of its seed.
 """
 
-from repro.data.dataset import ArrayDataset, train_test_split
+from repro.data.dataset import ArrayDataset
 from repro.data.loader import BatchIterator, PaddedBatchIterator, steps_per_epoch
 from repro.data.vocab import Vocab, PAD, BOS, EOS
 from repro.data.synthetic_mnist import make_sequential_mnist
@@ -16,7 +16,6 @@ from repro.data.synthetic_images import make_image_classification
 
 __all__ = [
     "ArrayDataset",
-    "train_test_split",
     "BatchIterator",
     "PaddedBatchIterator",
     "steps_per_epoch",

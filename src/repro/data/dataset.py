@@ -6,8 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.utils.rng import as_generator
-
 
 @dataclass
 class ArrayDataset:
@@ -30,19 +28,3 @@ class ArrayDataset:
 
     def __len__(self) -> int:
         return len(self.inputs)
-
-    def subset(self, indices: np.ndarray) -> "ArrayDataset":
-        return ArrayDataset(self.inputs[indices], self.targets[indices])
-
-
-def train_test_split(
-    dataset: ArrayDataset, test_fraction: float, rng
-) -> tuple[ArrayDataset, ArrayDataset]:
-    """Shuffle and split into (train, test) with an explicit RNG."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    gen = as_generator(rng)
-    n = len(dataset)
-    perm = gen.permutation(n)
-    n_test = max(1, int(round(n * test_fraction)))
-    return dataset.subset(perm[n_test:]), dataset.subset(perm[:n_test])

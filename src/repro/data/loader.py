@@ -145,19 +145,6 @@ class PaddedBatchIterator:
             batch = [self.pairs[i] for i in idx]
             yield self.collate(batch)
 
-    def padding_fraction(self) -> float:
-        """Fraction of source positions that are padding over one epoch.
-
-        Diagnostic for the bucketing option: with ``bucket_by_length`` the
-        value drops toward 0 because each batch groups similar lengths.
-        """
-        total = 0
-        padded = 0
-        for src, src_len, *_ in self:
-            total += src.size
-            padded += src.size - int(np.sum(src_len))
-        return padded / total if total else 0.0
-
     def collate(self, batch: list[tuple[np.ndarray, np.ndarray]]):
         b = len(batch)
         max_src = max(len(s) for s, _ in batch)

@@ -25,9 +25,5 @@ class Vocab:
     def size(self) -> int:
         return self.num_content + NUM_SPECIAL
 
-    def content_ids(self):
-        """Range of valid content-token ids."""
-        return range(NUM_SPECIAL, self.size)
-
     def is_content(self, token_id: int) -> bool:
         return NUM_SPECIAL <= token_id < self.size

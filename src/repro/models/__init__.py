@@ -12,7 +12,7 @@ Every model exposes a ``loss(batch)`` closure for the trainer and an
 """
 
 from repro.models.mnist_lstm import MnistLSTMClassifier
-from repro.models.ptb_lm import PTBLanguageModel, ptb_small_config, ptb_large_config
+from repro.models.ptb_lm import PTBLanguageModel
 from repro.models.gnmt import GNMT
 from repro.models.beam import beam_decode, beam_decode_sentence
 from repro.models.resnet import MiniResNet, BasicBlock
@@ -20,8 +20,6 @@ from repro.models.resnet import MiniResNet, BasicBlock
 __all__ = [
     "MnistLSTMClassifier",
     "PTBLanguageModel",
-    "ptb_small_config",
-    "ptb_large_config",
     "GNMT",
     "beam_decode",
     "beam_decode_sentence",

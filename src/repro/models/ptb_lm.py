@@ -1,6 +1,6 @@
 """The PTB language models (Section 5.1.2).
 
-Two presets mirror the paper's configurations, scaled for the synthetic
+The model takes the paper's two configurations, scaled for the synthetic
 corpus:
 
 * **PTB-small**: embedding/hidden 200, seq len 20, uniform init 0.1
@@ -9,9 +9,9 @@ corpus:
 * **PTB-large**: embedding/hidden 1500, seq len 35, uniform init 0.04
   (kernel 3000×6000) — trained with LARS + poly decay (power 2).
 
-``ptb_small_config``/``ptb_large_config`` return the scaled hyper-parameter
-dictionaries used by the experiment drivers (scale factors documented in
-EXPERIMENTS.md).
+The ``ptb_small`` and ``ptb_large`` workloads in
+:mod:`repro.experiments.common` set the scaled sizes (scale factors
+documented in EXPERIMENTS.md).
 """
 
 from __future__ import annotations
@@ -26,37 +26,6 @@ from repro.data.dataset import ArrayDataset
 from repro.utils.rng import spawn
 
 
-def ptb_small_config(scale: float = 1.0) -> dict:
-    """PTB-small hyper-parameters, optionally shrunk by ``scale``."""
-    width = max(8, int(round(200 * scale)))
-    return {
-        "embed_dim": width,
-        "hidden": width,
-        "num_layers": 2,
-        "seq_len": 20,
-        "init_scale": 0.1,
-        "epochs": 13,
-        "hold_epochs": 7,
-        "decay_rate": 0.4,
-        "base_batch": 20,
-    }
-
-
-def ptb_large_config(scale: float = 1.0) -> dict:
-    """PTB-large hyper-parameters, optionally shrunk by ``scale``."""
-    width = max(16, int(round(1500 * scale)))
-    return {
-        "embed_dim": width,
-        "hidden": width,
-        "num_layers": 2,
-        "seq_len": 35,
-        "init_scale": 0.04,
-        "epochs": 55,
-        "poly_power": 2.0,
-        "base_batch": 20,
-    }
-
-
 class PTBLanguageModel(Module):
     """2-layer LSTM LM over integer token windows."""
 
@@ -67,7 +36,6 @@ class PTBLanguageModel(Module):
         embed_dim: int = 200,
         hidden: int = 200,
         num_layers: int = 2,
-        dropout: float = 0.0,
         init_scale: float = 0.1,
     ) -> None:
         super().__init__()
@@ -79,7 +47,6 @@ class PTBLanguageModel(Module):
             hidden,
             num_layers=num_layers,
             rng=l_rng,
-            dropout=dropout,
             init_scale=init_scale,
         )
         self.head = Linear(hidden, vocab_size, h_rng, init_scale=init_scale)

@@ -2,46 +2,36 @@
 
 The layer zoo covers exactly what the paper's five applications need:
 
-* ``Linear``/``Embedding``/``Dropout``/``LayerNorm`` — common glue
-  (``LayerNorm`` dispatches between a composed reference graph and the
-  fused kernel, see :mod:`repro.tensor.fused`);
+* ``Linear``/``Embedding`` — common glue;
 * ``LSTMCell``/``LSTM`` — the recurrent core (multi-layer, optional
   bidirectional first layer and residual connections, as in GNMT);
 * ``BahdanauAttention`` — the normalized ``gnmt_v2`` attention mechanism;
-* ``Conv2d``/``BatchNorm2d``/pooling/``ResidualBlock`` via
-  :mod:`repro.models.resnet` — the CNN side;
-* losses with sequence masking and label smoothing.
+* ``Conv2d``/``BatchNorm2d``/``GlobalAvgPool`` via
+  :mod:`repro.models.resnet` — the CNN side.
+
+Losses are :func:`repro.tensor.cross_entropy`, which the models call
+directly.
 """
 
-from repro.nn.module import Module, ModuleList, Sequential, Parameter
+from repro.nn.module import Module, ModuleList, Parameter
 from repro.nn import init
 from repro.nn.linear import Linear
 from repro.nn.embedding import Embedding
-from repro.nn.dropout import Dropout
-from repro.nn.normalization import LayerNorm
 from repro.nn.recurrent import LSTMCell, LSTM
 from repro.nn.attention import BahdanauAttention
-from repro.nn.convnet import Conv2d, BatchNorm2d, MaxPool2d, AvgPool2d, GlobalAvgPool
-from repro.nn.losses import CrossEntropyLoss, SequenceCrossEntropy
+from repro.nn.convnet import Conv2d, BatchNorm2d, GlobalAvgPool
 
 __all__ = [
     "Module",
     "ModuleList",
-    "Sequential",
     "Parameter",
     "init",
     "Linear",
     "Embedding",
-    "Dropout",
-    "LayerNorm",
     "LSTMCell",
     "LSTM",
     "BahdanauAttention",
     "Conv2d",
     "BatchNorm2d",
-    "MaxPool2d",
-    "AvgPool2d",
     "GlobalAvgPool",
-    "CrossEntropyLoss",
-    "SequenceCrossEntropy",
 ]

@@ -1,4 +1,4 @@
-"""Convolutional building blocks: Conv2d, BatchNorm2d, pooling modules.
+"""Convolutional building blocks: Conv2d, BatchNorm2d, global pooling.
 
 These feed the mini-ResNet in :mod:`repro.models.resnet` that stands in for
 ResNet-50 in the ImageNet experiments (Table 3, Figure 1).
@@ -10,7 +10,7 @@ import numpy as np
 
 from repro.nn import init
 from repro.nn.module import Module, Parameter
-from repro.tensor.conv import avg_pool2d, conv2d, max_pool2d
+from repro.tensor.conv import conv2d
 from repro.tensor.tensor import Tensor
 
 
@@ -77,26 +77,6 @@ class BatchNorm2d(Module):
             var = Tensor(self._buffer_running_var.reshape(1, c, 1, 1))
             x_hat = (x - mu) / (var + self.eps).sqrt()
         return x_hat * self.gamma.reshape(1, c, 1, 1) + self.beta.reshape(1, c, 1, 1)
-
-
-class MaxPool2d(Module):
-    def __init__(self, kernel_size: int, stride: int | None = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return max_pool2d(x, self.kernel_size, self.stride)
-
-
-class AvgPool2d(Module):
-    def __init__(self, kernel_size: int, stride: int | None = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride
-
-    def forward(self, x: Tensor) -> Tensor:
-        return avg_pool2d(x, self.kernel_size, self.stride)
 
 
 class GlobalAvgPool(Module):

@@ -21,14 +21,6 @@ def xavier_uniform(shape: tuple[int, ...], rng, gain: float = 1.0) -> np.ndarray
     return gen.uniform(-a, a, shape)
 
 
-def xavier_normal(shape: tuple[int, ...], rng, gain: float = 1.0) -> np.ndarray:
-    """Glorot normal: N(0, gain^2 * 2 / (fan_in + fan_out))."""
-    gen = as_generator(rng)
-    fan_in, fan_out = _fans(shape)
-    std = gain * np.sqrt(2.0 / (fan_in + fan_out))
-    return gen.standard_normal(shape) * std
-
-
 def he_normal(shape: tuple[int, ...], rng) -> np.ndarray:
     """Kaiming/He normal for ReLU nets: N(0, 2 / fan_in)."""
     gen = as_generator(rng)
@@ -41,18 +33,6 @@ def uniform(shape: tuple[int, ...], rng, scale: float) -> np.ndarray:
     tutorial the paper cites (scale 0.1 small / 0.04 large)."""
     gen = as_generator(rng)
     return gen.uniform(-scale, scale, shape)
-
-
-def orthogonal(shape: tuple[int, int], rng, gain: float = 1.0) -> np.ndarray:
-    """Orthogonal init (QR of a Gaussian), common for recurrent kernels."""
-    gen = as_generator(rng)
-    rows, cols = shape
-    flat = gen.standard_normal((max(rows, cols), min(rows, cols)))
-    q, r = np.linalg.qr(flat)
-    q *= np.sign(np.diag(r))  # deterministic sign convention
-    if rows < cols:
-        q = q.T
-    return gain * q[:rows, :cols]
 
 
 def _fans(shape: tuple[int, ...]) -> tuple[int, int]:

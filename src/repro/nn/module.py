@@ -136,16 +136,3 @@ class ModuleList(Module):
 
     def forward(self, *args, **kwargs):  # pragma: no cover - containers don't forward
         raise RuntimeError("ModuleList is a container; call its items instead")
-
-
-class Sequential(Module):
-    """Feed-forward composition: ``Sequential(a, b, c)(x) == c(b(a(x)))``."""
-
-    def __init__(self, *layers: Module) -> None:
-        super().__init__()
-        self.layers = ModuleList(layers)
-
-    def forward(self, x):
-        for layer in self.layers:
-            x = layer(x)
-        return x

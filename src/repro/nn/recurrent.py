@@ -19,9 +19,8 @@ import numpy as np
 from repro.nn import init
 from repro.nn.module import Module, ModuleList, Parameter
 from repro.tensor.fused import fused_enabled, lstm_cell_step, lstm_layer
-from repro.tensor.nnops import dropout_mask
 from repro.tensor.tensor import Tensor, concat, stack, zeros
-from repro.utils.rng import as_generator, spawn
+from repro.utils.rng import spawn
 
 
 class LSTMCell(Module):
@@ -91,7 +90,7 @@ class LSTM(Module):
     input_size, hidden_size, num_layers:
         Stack geometry.  All hidden layers share ``hidden_size``.
     rng:
-        Seed / generator for parameter init and inter-layer dropout.
+        Seed / generator for parameter init.
     bidirectional_first:
         If set, layer 0 runs in both directions and its outputs are
         concatenated (giving ``2 * hidden_size`` features into layer 1) —
@@ -100,9 +99,6 @@ class LSTM(Module):
         Layer index (0-based) from which ``output += input`` residual
         connections apply (GNMT uses the 3rd layer, index 2).  Residual
         layers require matching input/output sizes.
-    dropout:
-        Inter-layer dropout probability (applied to each layer's output
-        sequence except the last, training mode only).
     init_scale:
         Uniform init half-width (PTB convention); ``None`` selects Xavier.
     """
@@ -115,7 +111,6 @@ class LSTM(Module):
         rng,
         bidirectional_first: bool = False,
         residual_start: int | None = None,
-        dropout: float = 0.0,
         init_scale: float | None = None,
     ) -> None:
         super().__init__()
@@ -123,9 +118,10 @@ class LSTM(Module):
         self.num_layers = num_layers
         self.bidirectional_first = bidirectional_first
         self.residual_start = residual_start
-        self.dropout = dropout
+        # one stream per layer, one for the backward cell and one unused:
+        # the count fixes how far ``rng``'s spawn counter advances, so a
+        # shared generator's later children stay as they are
         rngs = spawn(rng, num_layers + 2)
-        self._buffer_dropout_rng = as_generator(rngs[-1])
 
         cells: list[Module] = []
         in_size = input_size
@@ -199,13 +195,8 @@ class LSTM(Module):
     ) -> tuple[Tensor, list[tuple[Tensor, Tensor]]]:
         """Full-sequence fused path: one ``fused_lstm_layer`` node per
         direction per layer, padded batches included (the kernel applies
-        ``mask`` inside its time loop), with residual/dropout applied to
-        whole ``(T, B, H)`` tensors.
-
-        The inter-layer dropout masks are drawn in one ``(T, B, H)`` call,
-        which consumes the generator stream exactly like the reference
-        path's ``T`` sequential ``(B, H)`` draws — so both paths drop the
-        same elements for a given seed.
+        ``mask`` inside its time loop), with residual connections applied
+        to whole ``(T, B, H)`` tensors.
         """
         batch = x.shape[1]
         seq = x
@@ -230,12 +221,6 @@ class LSTM(Module):
                 out = concat([out, bwd_out], axis=2)
             if self.residual_start is not None and layer >= self.residual_start:
                 out = out + layer_input
-            if (
-                self.dropout > 0.0
-                and self.training
-                and layer < self.num_layers - 1
-            ):
-                out = dropout_mask(out, self.dropout, self._buffer_dropout_rng)
             final_states.append((h_f, c_f))
             seq = out
         return seq, final_states
@@ -292,15 +277,6 @@ class LSTM(Module):
                 ]
             if self.residual_start is not None and layer >= self.residual_start:
                 outputs = [o + inp for o, inp in zip(outputs, layer_inputs)]
-            if (
-                self.dropout > 0.0
-                and self.training
-                and layer < self.num_layers - 1
-            ):
-                outputs = [
-                    dropout_mask(o, self.dropout, self._buffer_dropout_rng)
-                    for o in outputs
-                ]
             final_states.append(state)
             steps = outputs
         return stack(steps, axis=0), final_states

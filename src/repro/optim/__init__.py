@@ -1,8 +1,8 @@
-"""Optimizers: the seven solvers the paper evaluates (Section 5.2) + LARS.
+"""Optimizers: the solvers the paper's experiments train with.
 
-SGD, Momentum, Nesterov, Adagrad, RMSprop, Adam, Adadelta — and LARS
-(You, Gitman & Ginsburg 2017), the layer-wise adaptive solver the paper
-pairs with LEGW for PTB-large and ImageNet/ResNet-50.
+SGD, Momentum, Adam, Adadelta (Figure 9), LAMB — and LARS (You, Gitman &
+Ginsburg 2017), the layer-wise adaptive solver the paper pairs with LEGW
+for PTB-large and ImageNet/ResNet-50.
 
 All optimizers share the :class:`~repro.optim.base.Optimizer` interface:
 the learning rate is a mutable attribute (``opt.lr``) that the trainer sets
@@ -11,21 +11,17 @@ the paper's subject, so the division of labour is strict.
 """
 
 from repro.optim.base import Optimizer
-from repro.optim.sgd import SGD, Momentum, Nesterov
-from repro.optim.adaptive import Adagrad, RMSprop, Adadelta
+from repro.optim.sgd import SGD, Momentum
+from repro.optim.adaptive import Adadelta
 from repro.optim.adam import Adam
 from repro.optim.lars import LARS
 from repro.optim.lamb import LAMB
-from repro.optim.ema import EMAWeights
 from repro.optim.loss_scaler import DynamicLossScaler
 from repro.optim.clip import clip_grad_norm, global_grad_norm
 
 SOLVERS = {
     "sgd": SGD,
     "momentum": Momentum,
-    "nesterov": Nesterov,
-    "adagrad": Adagrad,
-    "rmsprop": RMSprop,
     "adam": Adam,
     "adadelta": Adadelta,
     "lars": LARS,
@@ -36,14 +32,10 @@ __all__ = [
     "Optimizer",
     "SGD",
     "Momentum",
-    "Nesterov",
-    "Adagrad",
-    "RMSprop",
     "Adam",
     "Adadelta",
     "LARS",
     "LAMB",
-    "EMAWeights",
     "DynamicLossScaler",
     "clip_grad_norm",
     "global_grad_norm",

@@ -1,4 +1,4 @@
-"""Adaptive solvers: Adagrad, RMSprop, Adadelta.
+"""Adadelta, the adaptive solver of Figure 9.
 
 Adadelta is the second "no hyper-parameters to tune" baseline the paper
 evaluates (Figure 9) before settling on Adam as the adaptive baseline.
@@ -10,40 +10,6 @@ import numpy as np
 
 from repro.optim.base import Optimizer
 from repro.tensor.tensor import Tensor
-
-
-class Adagrad(Optimizer):
-    """Adagrad (Duchi et al., 2011): per-coordinate lr ~ 1/sqrt(sum g²)."""
-
-    def __init__(self, params, lr: float = 0.01, eps: float = 1e-10, weight_decay: float = 0.0):
-        super().__init__(params, lr, weight_decay)
-        self.eps = eps
-
-    def _update(self, name: str, p: Tensor, grad: np.ndarray) -> np.ndarray:
-        st = self._get_state(name, accum=np.zeros_like(p.data))
-        st["accum"] += grad * grad
-        return self.lr * grad / (np.sqrt(st["accum"]) + self.eps)
-
-
-class RMSprop(Optimizer):
-    """RMSprop (Hinton's lecture 6e form): EMA of squared gradients."""
-
-    def __init__(
-        self,
-        params,
-        lr: float = 0.001,
-        rho: float = 0.9,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
-        super().__init__(params, lr, weight_decay)
-        self.rho = rho
-        self.eps = eps
-
-    def _update(self, name: str, p: Tensor, grad: np.ndarray) -> np.ndarray:
-        st = self._get_state(name, sq=np.zeros_like(p.data))
-        st["sq"] = self.rho * st["sq"] + (1.0 - self.rho) * grad * grad
-        return self.lr * grad / (np.sqrt(st["sq"]) + self.eps)
 
 
 class Adadelta(Optimizer):

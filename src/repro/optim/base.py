@@ -124,10 +124,10 @@ class Optimizer:
         """
         return False
 
-    def _get_scratch(self, name: str, p: Tensor, key: str = "") -> np.ndarray:
-        buf = self._scratch.get(name + key)
+    def _get_scratch(self, name: str, p: Tensor) -> np.ndarray:
+        buf = self._scratch.get(name)
         if buf is None:
-            buf = self._scratch[name + key] = np.empty_like(p.data)
+            buf = self._scratch[name] = np.empty_like(p.data)
         return buf
 
     def _get_state(self, name: str, **arrays: np.ndarray) -> dict[str, np.ndarray]:

@@ -1,6 +1,6 @@
-"""SGD-family solvers: vanilla, heavy-ball momentum, Nesterov.
+"""SGD-family solvers: vanilla and heavy-ball momentum.
 
-All three dispatch to the fused in-place update kernels in
+Both dispatch to the fused in-place update kernels in
 :mod:`repro.tensor.fused` when ``repro.tensor.use_fused`` is on: the step
 then writes parameters and momentum state through preallocated scratch
 buffers and allocates nothing.  The fused arithmetic only reorders
@@ -59,28 +59,5 @@ class Momentum(Optimizer):
         fused.momentum_update(
             p.data, grad, st["v"], self.lr, self.momentum,
             self.weight_decay, self._get_scratch(name, p),
-        )
-        return True
-
-
-class Nesterov(Momentum):
-    """Nesterov accelerated gradient in the Sutskever et al. (2013) form:
-
-    ``v <- m*v + g;  w <- w - lr * (g + m*v)``
-    """
-
-    def _update(self, name: str, p: Tensor, grad: np.ndarray) -> np.ndarray:
-        st = self._get_state(name, v=np.zeros_like(p.data))
-        st["v"] = self.momentum * st["v"] + grad
-        return self.lr * (grad + self.momentum * st["v"])
-
-    def _fused_step(self, name: str, p: Tensor, grad: np.ndarray) -> bool:
-        if not fused.fused_enabled():
-            return False
-        st = self._get_state(name, v=np.zeros_like(p.data))
-        fused.nesterov_update(
-            p.data, grad, st["v"], self.lr, self.momentum,
-            self.weight_decay, self._get_scratch(name, p),
-            self._get_scratch(name, p, key="/2"),
         )
         return True

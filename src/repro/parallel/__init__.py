@@ -53,7 +53,7 @@ from repro.parallel.faults import (
     WorkerFaultError,
 )
 from repro.parallel.mp import MultiprocessCluster
-from repro.parallel.perfmodel import DeviceModel, APP_DEVICE_MODELS, epoch_time, training_time, speedup
+from repro.parallel.perfmodel import DeviceModel, APP_DEVICE_MODELS, epoch_time, speedup
 
 __all__ = [
     "MultiprocessCluster",
@@ -82,6 +82,5 @@ __all__ = [
     "DeviceModel",
     "APP_DEVICE_MODELS",
     "epoch_time",
-    "training_time",
     "speedup",
 ]

@@ -19,7 +19,9 @@ float32, like a real fp32 collective.
 For gradient averaging the clusters use :func:`allreduce_mean_single`,
 which runs the same schedule but materialises only one result array
 instead of ``p`` identical replicas (a synchronous parent installing one
-averaged gradient has no use for the other ``p − 1`` copies).
+averaged gradient has no use for the other ``p − 1`` copies).  Each
+schedule is written once (``_ring``, ``_tree``, ``_naive``) and both
+entry points call it, so the counters and values cannot drift apart.
 
 When an observability metrics registry is active (see
 :mod:`repro.obs.metrics`), every call records per-algorithm counters:
@@ -55,8 +57,15 @@ def _validate(buffers: list[np.ndarray]) -> tuple[int, int, np.dtype]:
     return len(buffers), n, np.result_type(*buffers)
 
 
-def _ring_chunks(buffers: list[np.ndarray], p: int) -> list[list[np.ndarray]]:
-    """Run the ring schedule; returns each worker's finalised chunk list."""
+def _ring(buffers: list[np.ndarray], replicas: bool) -> list[np.ndarray]:
+    """The ring schedule; the sum on every worker, or on worker 0 only."""
+    p, n, dtype = _validate(buffers)
+    if p == 1:
+        _record("ring", 0, 0)
+        return [buffers[0].copy()]
+    # each of the 2(p-1) rounds circulates every chunk index exactly once,
+    # i.e. n elements of payload per round across the ring
+    _record("ring", 2 * (p - 1), 2 * (p - 1) * n * dtype.itemsize)
     chunks = [np.array_split(b.astype(np.float64).copy(), p) for b in buffers]
     # reduce-scatter: at step s, worker w sends chunk (w - s) to worker w+1
     for step in range(p - 1):
@@ -76,35 +85,27 @@ def _ring_chunks(buffers: list[np.ndarray], p: int) -> list[list[np.ndarray]]:
             transfers.append((dst, src_chunk, chunks[w][src_chunk]))
         for dst, c, data in transfers:
             chunks[dst][c] = data.copy()
-    return chunks
-
-
-def ring_allreduce(buffers: list[np.ndarray]) -> list[np.ndarray]:
-    """Ring all-reduce: reduce-scatter then all-gather, 2(p−1) rounds.
-
-    Each worker ends with the exact elementwise sum.  Chunk ``i`` is
-    finalised on worker ``(i+1) mod p`` after the reduce-scatter phase, as
-    in the Baidu/Horovod ring.
-    """
-    p, n, dtype = _validate(buffers)
-    if p == 1:
-        _record("ring", 0, 0)
-        return [buffers[0].copy()]
-    # each of the 2(p-1) rounds circulates every chunk index exactly once,
-    # i.e. n elements of payload per round across the ring
-    _record("ring", 2 * (p - 1), 2 * (p - 1) * n * dtype.itemsize)
-    chunks = _ring_chunks(buffers, p)
     return [
-        np.concatenate(chunks[w]).astype(dtype, copy=False) for w in range(p)
+        np.concatenate(chunks[w]).astype(dtype, copy=False)
+        for w in range(p if replicas else 1)
     ]
 
 
-def _tree_work(buffers: list[np.ndarray], p: int) -> list[np.ndarray]:
-    """Run the recursive-doubling schedule; returns per-worker results."""
-    work = [b.astype(np.float64).copy() for b in buffers]
+def _tree(buffers: list[np.ndarray], replicas: bool) -> list[np.ndarray]:
+    """The recursive-doubling schedule; the sum on every worker, or on
+    worker 0 only."""
+    p, n, dtype = _validate(buffers)
     pow2 = 1
     while pow2 * 2 <= p:
         pow2 *= 2
+    exchange_rounds = pow2.bit_length() - 1  # log2(pow2)
+    fold_rounds = 2 if p != pow2 else 0  # pre-fold + final broadcast
+    _record(
+        "tree",
+        exchange_rounds + fold_rounds,
+        (exchange_rounds * pow2 * n + 2 * (p - pow2) * n) * dtype.itemsize,
+    )
+    work = [b.astype(np.float64).copy() for b in buffers]
     # fold excess workers into the first block
     for extra in range(pow2, p):
         work[extra - pow2] = work[extra - pow2] + work[extra]
@@ -118,7 +119,29 @@ def _tree_work(buffers: list[np.ndarray], p: int) -> list[np.ndarray]:
         step *= 2
     for extra in range(pow2, p):
         work[extra] = work[extra - pow2].copy()
-    return work
+    return [w.astype(dtype, copy=False) for w in work[: p if replicas else 1]]
+
+
+def _naive(buffers: list[np.ndarray], replicas: bool) -> list[np.ndarray]:
+    """Gather-to-root + broadcast; the sum on every worker, or the root's."""
+    p, n, dtype = _validate(buffers)
+    # one gather round and one broadcast round, each moving (p-1)·n values
+    _record("naive", 2 if p > 1 else 0, 2 * (p - 1) * n * dtype.itemsize)
+    root = buffers[0].astype(np.float64).copy()
+    for b in buffers[1:]:
+        root = root + b
+    root = root.astype(dtype, copy=False)
+    return [root.copy() for _ in range(p)] if replicas else [root]
+
+
+def ring_allreduce(buffers: list[np.ndarray]) -> list[np.ndarray]:
+    """Ring all-reduce: reduce-scatter then all-gather, 2(p−1) rounds.
+
+    Each worker ends with the exact elementwise sum.  Chunk ``i`` is
+    finalised on worker ``(i+1) mod p`` after the reduce-scatter phase, as
+    in the Baidu/Horovod ring.
+    """
+    return _ring(buffers, replicas=True)
 
 
 def tree_allreduce(buffers: list[np.ndarray]) -> list[np.ndarray]:
@@ -129,44 +152,21 @@ def tree_allreduce(buffers: list[np.ndarray]) -> list[np.ndarray]:
     counts fall back to a pre-reduction of the excess workers onto the
     leading power-of-two block, then a broadcast back.
     """
-    p, n, dtype = _validate(buffers)
-    pow2 = 1
-    while pow2 * 2 <= p:
-        pow2 *= 2
-    exchange_rounds = pow2.bit_length() - 1  # log2(pow2)
-    fold_rounds = 2 if p != pow2 else 0  # pre-fold + final broadcast
-    _record(
-        "tree",
-        exchange_rounds + fold_rounds,
-        (exchange_rounds * pow2 * n + 2 * (p - pow2) * n) * dtype.itemsize,
-    )
-    work = _tree_work(buffers, p)
-    return [w.astype(dtype, copy=False) for w in work]
+    return _tree(buffers, replicas=True)
 
 
 def naive_allreduce(buffers: list[np.ndarray]) -> list[np.ndarray]:
     """Gather-to-root + broadcast — the O(p·n) strawman baseline."""
-    p, n, dtype = _validate(buffers)
-    # one gather round and one broadcast round, each moving (p-1)·n values
-    _record("naive", 2 if p > 1 else 0, 2 * (p - 1) * n * dtype.itemsize)
-    root = buffers[0].astype(np.float64).copy()
-    for b in buffers[1:]:
-        root = root + b
-    root = root.astype(dtype, copy=False)
-    return [root.copy() for _ in range(p)]
+    return _naive(buffers, replicas=True)
 
 
-_ALGORITHMS = {
-    "ring": ring_allreduce,
-    "tree": tree_allreduce,
-    "naive": naive_allreduce,
-}
+_SCHEDULES = {"ring": _ring, "tree": _tree, "naive": _naive}
 
-ALGORITHMS: tuple[str, ...] = tuple(_ALGORITHMS)
+ALGORITHMS: tuple[str, ...] = tuple(_SCHEDULES)
 
 
 def _check_algorithm(algorithm: str) -> None:
-    if algorithm not in _ALGORITHMS:
+    if algorithm not in _SCHEDULES:
         raise ValueError(f"unknown algorithm {algorithm!r}")
 
 
@@ -175,7 +175,7 @@ def allreduce_mean(
 ) -> list[np.ndarray]:
     """All-reduce then divide by the worker count (gradient averaging)."""
     _check_algorithm(algorithm)
-    summed = _ALGORITHMS[algorithm](buffers)
+    summed = _SCHEDULES[algorithm](buffers, replicas=True)
     p = len(buffers)
     return [s / p for s in summed]
 
@@ -191,31 +191,4 @@ def allreduce_mean_single(
     arrays every synchronous-parent caller immediately discards.
     """
     _check_algorithm(algorithm)
-    p, n, dtype = _validate(buffers)
-    if algorithm == "ring":
-        if p == 1:
-            summed = buffers[0].copy()
-            _record("ring", 0, 0)
-        else:
-            _record("ring", 2 * (p - 1), 2 * (p - 1) * n * dtype.itemsize)
-            chunks = _ring_chunks(buffers, p)
-            summed = np.concatenate(chunks[0]).astype(dtype, copy=False)
-    elif algorithm == "tree":
-        pow2 = 1
-        while pow2 * 2 <= p:
-            pow2 *= 2
-        exchange_rounds = pow2.bit_length() - 1
-        fold_rounds = 2 if p != pow2 else 0
-        _record(
-            "tree",
-            exchange_rounds + fold_rounds,
-            (exchange_rounds * pow2 * n + 2 * (p - pow2) * n) * dtype.itemsize,
-        )
-        summed = _tree_work(buffers, p)[0].astype(dtype, copy=False)
-    else:  # naive
-        _record("naive", 2 if p > 1 else 0, 2 * (p - 1) * n * dtype.itemsize)
-        root = buffers[0].astype(np.float64).copy()
-        for b in buffers[1:]:
-            root = root + b
-        summed = root.astype(dtype, copy=False)
-    return summed / p
+    return _SCHEDULES[algorithm](buffers, replicas=False)[0] / len(buffers)

@@ -22,7 +22,7 @@ solves to t_fixed ≈ 875·t_sample; the other three are calibrated to put
 the four-app average at ≈5.3×, see EXPERIMENTS.md).  Absolute time units
 are arbitrary — only ratios are claimed, exactly as in the paper.
 
-For multi-worker scenarios (the ablation bench) :func:`training_time`
+For multi-worker scenarios (the ablation bench) :func:`epoch_time`
 optionally adds per-iteration all-reduce cost from
 :mod:`repro.parallel.cost`.
 """
@@ -46,10 +46,6 @@ class DeviceModel:
         if batch <= 0:
             raise ValueError("batch must be positive")
         return self.t_fixed + batch * self.t_sample
-
-    def throughput(self, batch: int) -> float:
-        """Samples per second at this batch size."""
-        return batch / self.iteration_time(batch)
 
 
 # Calibration targets (see module docstring and EXPERIMENTS.md): the
@@ -92,17 +88,6 @@ def epoch_time(
         timer = {"ring": ring_time, "tree": tree_time, "naive": naive_time}[algorithm]
         comm_time = timer(grad_bytes, n_workers, comm)
     return iters * (compute + comm_time)
-
-
-def training_time(
-    model: DeviceModel,
-    n_samples: int,
-    batch: int,
-    epochs: float,
-    **kwargs,
-) -> float:
-    """Total wall time for ``epochs`` epochs (the paper's fixed-epoch runs)."""
-    return epochs * epoch_time(model, n_samples, batch, **kwargs)
 
 
 def speedup(model: DeviceModel, base_batch: int, batch: int) -> float:

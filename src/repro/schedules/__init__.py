@@ -13,7 +13,7 @@ hold (PTB-small), polynomial decay (Figure 2.2, PTB-large), plus the linear
 and sqrt scaling rules used by the baselines of Figures 1 and 5.
 """
 
-from repro.schedules.base import Schedule, ConstantLR, LambdaSchedule
+from repro.schedules.base import Schedule, ConstantLR
 from repro.schedules.decay import (
     MultiStepDecay,
     ExponentialEpochDecay,
@@ -27,7 +27,6 @@ from repro.schedules.batchsize import GrowBatchSchedule
 __all__ = [
     "Schedule",
     "ConstantLR",
-    "LambdaSchedule",
     "MultiStepDecay",
     "ExponentialEpochDecay",
     "PolynomialDecay",

@@ -9,8 +9,6 @@ iteration count.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
-
 
 class Schedule:
     """Base class: subclasses implement :meth:`lr_at`."""
@@ -22,10 +20,6 @@ class Schedule:
         if iteration < 0:
             raise ValueError(f"iteration must be >= 0, got {iteration}")
         return float(self.lr_at(int(iteration)))
-
-    def series(self, total_iterations: int) -> list[float]:
-        """The full LR trajectory — what Figure 2 plots."""
-        return [self(i) for i in range(total_iterations)]
 
 
 class ConstantLR(Schedule):
@@ -41,13 +35,3 @@ class ConstantLR(Schedule):
 
     def __repr__(self) -> str:
         return f"ConstantLR({self.lr})"
-
-
-class LambdaSchedule(Schedule):
-    """Wrap an arbitrary function ``iteration -> lr``."""
-
-    def __init__(self, fn: Callable[[int], float]) -> None:
-        self.fn = fn
-
-    def lr_at(self, iteration: int) -> float:
-        return self.fn(iteration)

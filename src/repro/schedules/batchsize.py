@@ -62,29 +62,6 @@ class GrowBatchSchedule:
         """The batch size of every epoch in a run (for tests/plots)."""
         return [self.batch_at(e) for e in range(total_epochs)]
 
-    # the schedule is a pure function of the epoch, so its "state" is its
-    # configuration — carried in checkpoints so a resumed run provably
-    # trains under the very same ladder it started with
-    def state_dict(self) -> dict:
-        return {
-            "base_batch": self.base_batch,
-            "milestones": list(self.milestones),
-            "factor": self.factor,
-            "max_batch": -1 if self.max_batch is None else int(self.max_batch),
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        restored = GrowBatchSchedule(
-            int(state["base_batch"]),
-            list(state["milestones"]),
-            factor=float(state["factor"]),
-            max_batch=None if int(state["max_batch"]) < 0 else int(state["max_batch"]),
-        )
-        self.base_batch = restored.base_batch
-        self.milestones = restored.milestones
-        self.factor = restored.factor
-        self.max_batch = restored.max_batch
-
     def __repr__(self) -> str:
         return (
             f"GrowBatchSchedule(base={self.base_batch}, x{self.factor:g} at "

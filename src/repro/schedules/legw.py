@@ -100,15 +100,6 @@ class LEGW(Schedule):
     def lr_at(self, iteration: int) -> float:
         return self._schedule.lr_at(iteration)
 
-    def describe(self) -> dict[str, float]:
-        """The columns Tables 2/3 report for this batch size."""
-        return {
-            "batch": self.batch,
-            "peak_lr": self.peak_lr,
-            "warmup_epochs": self.warmup_epochs,
-            "warmup_iterations": self.warmup_iterations,
-        }
-
     def __repr__(self) -> str:
         return (
             f"LEGW(batch={self.batch}, peak_lr={self.peak_lr:.4g}, "

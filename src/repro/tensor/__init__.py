@@ -17,8 +17,8 @@ classic tape-free graph approach:
 Correctness of every op is established against central finite differences
 by :func:`repro.tensor.gradcheck.gradcheck` in the test suite.
 
-The hot paths (LSTM cell step and layer, softmax cross-entropy,
-LayerNorm, SGD updates) additionally have fused single-node kernels in
+The hot paths (LSTM cell step and layer, softmax cross-entropy, SGD
+updates) additionally have fused single-node kernels in
 :mod:`repro.tensor.fused`.  They are the default; :func:`use_fused` (or
 ``REPRO_FUSED=0`` in the environment) switches globally to the reference
 graphs, which ``tests/test_fused_parity.py`` property-tests them
@@ -58,16 +58,14 @@ from repro.tensor.nnops import (
     log_softmax,
     cross_entropy,
     embedding_lookup,
-    dropout_mask,
 )
-from repro.tensor.conv import conv2d, max_pool2d, avg_pool2d
+from repro.tensor.conv import conv2d
 from repro.tensor.fused import use_fused, fused_enabled, fused_kernels
 from repro.tensor.amp import (
     use_amp,
     amp_enabled,
     mixed_precision,
     autocast,
-    autocast_active,
     fp16_roundtrip,
     bf16_roundtrip,
     quantize_fp16_stochastic,
@@ -95,10 +93,7 @@ __all__ = [
     "log_softmax",
     "cross_entropy",
     "embedding_lookup",
-    "dropout_mask",
     "conv2d",
-    "max_pool2d",
-    "avg_pool2d",
     "use_fused",
     "fused_enabled",
     "fused_kernels",
@@ -106,7 +101,6 @@ __all__ = [
     "amp_enabled",
     "mixed_precision",
     "autocast",
-    "autocast_active",
     "fp16_roundtrip",
     "bf16_roundtrip",
     "quantize_fp16_stochastic",

@@ -51,7 +51,6 @@ __all__ = [
     "amp_enabled",
     "mixed_precision",
     "autocast",
-    "autocast_active",
     "FP16_MAX",
 ]
 
@@ -161,11 +160,6 @@ def mixed_precision(enabled: bool = True):
 # --------------------------------------------------------------------------
 
 _AUTOCAST = False
-
-
-def autocast_active() -> bool:
-    """Whether op outputs are currently being quantized to fp16."""
-    return _AUTOCAST
 
 
 @contextlib.contextmanager

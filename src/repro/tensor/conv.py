@@ -1,10 +1,10 @@
-"""2-D convolution and pooling via im2col/col2im.
+"""2-D convolution via im2col/col2im.
 
-The mini-ResNet used for the ImageNet/ResNet-50 substitution needs conv,
-max-pool and average-pool.  Following the HPC guides, the inner loops are
-expressed as one big matmul over an im2col patch matrix built with
-``stride_tricks`` (a view, no copy on the forward extract), which keeps the
-Python overhead at one graph node per layer.
+The mini-ResNet used for the ImageNet/ResNet-50 substitution needs conv;
+it pools with a global spatial mean.  Following the HPC guides, the inner
+loops are expressed as one big matmul over an im2col patch matrix built
+with ``stride_tricks`` (a view, no copy on the forward extract), which
+keeps the Python overhead at one graph node per layer.
 
 Layout convention: NCHW (batch, channels, height, width), stride and padding
 symmetric in both spatial dims — sufficient for the residual stacks here.
@@ -106,43 +106,3 @@ def conv2d(
         return (dx, dw, db)
 
     return Tensor._make(out, parents, vjp, "conv2d")
-
-
-def max_pool2d(x: Tensor, k: int, stride: int | None = None) -> Tensor:
-    """Max pooling over non-overlapping (or strided) k×k windows."""
-    x = as_tensor(x)
-    stride = stride or k
-    n, c, h, w = x.shape
-    h_out = _out_size(h, k, stride, 0)
-    w_out = _out_size(w, k, stride, 0)
-    cols = _im2col(x.data, k, stride, 0)  # (N, C, k, k, Ho, Wo)
-    flat = cols.reshape(n, c, k * k, h_out, w_out)
-    arg = flat.argmax(axis=2)
-    out = np.take_along_axis(flat, arg[:, :, None], axis=2)[:, :, 0]
-
-    def vjp(g: np.ndarray):
-        dflat = np.zeros_like(flat)
-        np.put_along_axis(dflat, arg[:, :, None], g[:, :, None], axis=2)
-        dcols = dflat.reshape(n, c, k, k, h_out, w_out)
-        return (_col2im(dcols, x.shape, k, stride, 0),)
-
-    return Tensor._make(out, (x,), vjp, "max_pool2d")
-
-
-def avg_pool2d(x: Tensor, k: int, stride: int | None = None) -> Tensor:
-    """Average pooling; with ``k == H`` acts as global average pooling."""
-    x = as_tensor(x)
-    stride = stride or k
-    n, c, h, w = x.shape
-    h_out = _out_size(h, k, stride, 0)
-    w_out = _out_size(w, k, stride, 0)
-    cols = _im2col(x.data, k, stride, 0)
-    out = cols.mean(axis=(2, 3))
-
-    def vjp(g: np.ndarray):
-        dcols = np.broadcast_to(
-            g[:, :, None, None] / (k * k), (n, c, k, k, h_out, w_out)
-        ).copy()
-        return (_col2im(dcols, x.shape, k, stride, 0),)
-
-    return Tensor._make(out, (x,), vjp, "avg_pool2d")

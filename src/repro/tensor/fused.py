@@ -24,19 +24,17 @@ single hand-derived vector-Jacobian product:
   probability buffer (the reference allocates a dense target distribution
   plus three more logits-sized temporaries — which hurts at LM vocab
   sizes).
-* :func:`layer_norm` — one node instead of the ~9 the composed reference
-  in :class:`repro.nn.LayerNorm` builds.
-* :func:`sgd_update` / :func:`momentum_update` / :func:`nesterov_update`
-  — in-place parameter updates writing through preallocated scratch, no
-  per-step temporaries.  Bit-identical to the reference optimizer
-  arithmetic (only commutative reorderings).
+* :func:`sgd_update` / :func:`momentum_update` — in-place parameter
+  updates writing through preallocated scratch, no per-step temporaries.
+  Bit-identical to the reference optimizer arithmetic (only commutative
+  reorderings).
 
 Dispatch
 --------
 Nothing imports these kernels directly: ``repro.nn.LSTMCell``,
-``repro.nn.LSTM``, ``repro.nn.LayerNorm``, ``repro.tensor.cross_entropy``
-and the SGD-family optimizers all consult :func:`fused_enabled` and fall
-back to their reference implementations when fusion is off.  Fusion is
+``repro.nn.LSTM``, ``repro.tensor.cross_entropy`` and the SGD-family
+optimizers all consult :func:`fused_enabled` and fall back to their
+reference implementations when fusion is off.  Fusion is
 the default; the reference engine stays as the differential oracle the
 parity suite checks every kernel against.  Flip globally with
 ``repro.tensor.use_fused``::
@@ -53,7 +51,7 @@ runs the whole tier-1 suite on the reference engine), or pass
 names, optimizer state keys and values are identical either way — and
 the profiler sees the fused ops under the stable names
 ``fused_lstm_cell`` / ``fused_lstm_layer`` / ``fused_lstm_out`` /
-``fused_softmax_xent`` / ``fused_layer_norm``.
+``fused_softmax_xent``.
 
 Correctness story: :mod:`tests.test_fused_parity` property-checks fused
 against reference forward values and gradients (finite differences plus
@@ -77,10 +75,8 @@ __all__ = [
     "lstm_cell_step",
     "lstm_layer",
     "softmax_cross_entropy",
-    "layer_norm",
     "sgd_update",
     "momentum_update",
-    "nesterov_update",
 ]
 
 
@@ -530,40 +526,6 @@ def softmax_cross_entropy(
 
 
 # --------------------------------------------------------------------------
-# layer normalisation
-# --------------------------------------------------------------------------
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Fused LayerNorm over the trailing axis with the standard VJP.
-
-    ``dx = (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)) / std`` —
-    the textbook derivation, one node instead of the ~9 the composed
-    reference builds, and no finite-difference-hostile recomputation: the
-    normalised activations and inverse std are cached from the forward.
-    """
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = np.mean(xc * xc, axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv_std
-    out = xhat * gain.data + bias.data
-
-    def vjp(g: np.ndarray):
-        dxhat = g * gain.data
-        mean1 = dxhat.mean(axis=-1, keepdims=True)
-        mean2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-        dx = (dxhat - mean1 - xhat * mean2) * inv_std
-        lead = tuple(range(g.ndim - 1))
-        dgain = (g * xhat).sum(axis=lead)
-        dbias = g.sum(axis=lead)
-        return (dx, dgain, dbias)
-
-    return Tensor._make(out, (x, gain, bias), vjp, "fused_layer_norm")
-
-
-# --------------------------------------------------------------------------
 # fused parameter updates (SGD family)
 # --------------------------------------------------------------------------
 #
@@ -613,23 +575,3 @@ def momentum_update(
     v += gw
     np.multiply(v, lr, out=scratch)
     np.subtract(p, scratch, out=p)
-
-
-def nesterov_update(
-    p: np.ndarray,
-    grad: np.ndarray,
-    v: np.ndarray,
-    lr: float,
-    momentum: float,
-    weight_decay: float,
-    scratch: np.ndarray,
-    scratch2: np.ndarray,
-) -> None:
-    """In-place Nesterov step: ``v <- m*v + g; p -= lr * (g + m*v)``."""
-    gw = _decayed_grad(p, grad, weight_decay, scratch)
-    np.multiply(v, momentum, out=v)
-    v += gw
-    np.multiply(v, momentum, out=scratch2)
-    scratch2 += gw
-    np.multiply(scratch2, lr, out=scratch2)
-    np.subtract(p, scratch2, out=p)

@@ -8,8 +8,8 @@ perturb-and-diff machinery, so keeping it exact here does double duty.
 ``gradcheck`` returns a :class:`GradcheckReport` carrying the per-input
 maximum absolute and relative errors (always truthy, so the historical
 ``assert gradcheck(...)`` idiom keeps working).  The fused-kernel parity
-suite uses those numbers directly: the fused LayerNorm backward, for
-example, is reported against an explicit relative tolerance rather than a
+suite uses those numbers directly: each fused kernel's backward is
+reported against an explicit relative tolerance rather than a
 one-size-fits-all atol.
 """
 

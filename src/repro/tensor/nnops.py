@@ -1,4 +1,4 @@
-"""Fused neural-network primitives: softmax, cross-entropy, embedding, dropout.
+"""Fused neural-network primitives: softmax, cross-entropy, embedding.
 
 These could all be composed from the arithmetic primitives in
 :mod:`repro.tensor.tensor`, but fusing them buys two things that matter for
@@ -16,7 +16,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.tensor.tensor import Tensor, as_tensor
-from repro.utils.rng import as_generator
 
 
 def _logsumexp(x: np.ndarray, axis: int) -> np.ndarray:
@@ -153,20 +152,3 @@ def embedding_lookup(table: Tensor, indices: np.ndarray) -> Tensor:
         return (grad,)
 
     return Tensor._make(out_data, (table,), vjp, "embedding")
-
-
-def dropout_mask(x: Tensor, p: float, rng) -> Tensor:
-    """Inverted dropout: zero each element with probability ``p``, scale
-    survivors by ``1/(1-p)`` so activation expectations are unchanged.
-
-    Callers (``repro.nn.Dropout``) only invoke this in training mode; at
-    ``p == 0`` the input is returned untouched.
-    """
-    if not 0.0 <= p < 1.0:
-        raise ValueError(f"dropout probability must be in [0, 1), got {p}")
-    if p == 0.0:
-        return x
-    x = as_tensor(x)
-    gen = as_generator(rng)
-    keep = (gen.random(x.shape) >= p).astype(np.float64) / (1.0 - p)
-    return Tensor._make(x.data * keep, (x,), lambda g: (g * keep,), "dropout")

@@ -3,24 +3,16 @@
 from repro.train.metrics import (
     accuracy,
     top_k_accuracy,
-    perplexity_from_loss,
     corpus_bleu,
     ngram_counts,
 )
 from repro.train.trainer import Trainer, TrainResult
 from repro.train.resilience import RecoverySchedule, ResilientTrainer
 from repro.train.tuner import GridTuner, TuningOutcome
-from repro.train.callbacks import (
-    Callback,
-    BestMetric,
-    EarlyStopping,
-    LambdaCallback,
-)
 
 __all__ = [
     "accuracy",
     "top_k_accuracy",
-    "perplexity_from_loss",
     "corpus_bleu",
     "ngram_counts",
     "Trainer",
@@ -29,8 +21,4 @@ __all__ = [
     "RecoverySchedule",
     "GridTuner",
     "TuningOutcome",
-    "Callback",
-    "BestMetric",
-    "EarlyStopping",
-    "LambdaCallback",
 ]

@@ -1,4 +1,4 @@
-"""Evaluation metrics: accuracy, Top-k, perplexity, corpus BLEU.
+"""Evaluation metrics: accuracy, Top-k, corpus BLEU.
 
 BLEU is implemented from the Papineni et al. (2002) definition — modified
 n-gram precision up to 4-grams, geometric mean, brevity penalty — with
@@ -40,11 +40,6 @@ def top_k_accuracy(logits: np.ndarray, targets: np.ndarray, k: int = 5) -> float
     k = min(k, logits.shape[1])
     topk = np.argpartition(-logits, k - 1, axis=1)[:, :k]
     return float((topk == targets[:, None]).any(axis=1).mean())
-
-
-def perplexity_from_loss(mean_nll: float) -> float:
-    """Perplexity of a per-token mean negative log-likelihood (nats)."""
-    return float(math.exp(min(mean_nll, 50.0)))  # cap to avoid inf on divergence
 
 
 def ngram_counts(tokens: Sequence[int], n: int) -> Counter:

@@ -7,10 +7,10 @@ fault (a NaN/inf loss or eval metric) and stops (the comprehensive-tuning
 figures need diverged runs as data points); :class:`ResilientTrainer` is
 the same loop with a rollback fault policy, the paper-faithful remedy:
 
-1. restore the last good checkpoint (model, optimizer, loss scaler, EMA
-   shadow, data-shuffling RNG — the full bit-exact state);
-2. back off the peak learning rate by ``lr_backoff`` and re-enter a
-   linear warmup ramp from the restored iteration;
+1. restore the last good checkpoint (model, optimizer, loss scaler,
+   data-shuffling RNG — the full bit-exact state);
+2. halve the peak learning rate (:data:`LR_BACKOFF`) and re-enter a
+   linear warmup ramp over one epoch's steps from the restored iteration;
 3. retry, up to ``max_recoveries`` times; only then give up and report
    divergence like the plain trainer would.
 
@@ -37,11 +37,12 @@ from repro.obs import Obs
 from repro.obs.telemetry import HealthMonitor, default_training_rules
 from repro.optim.base import Optimizer
 from repro.optim.clip import clip_grad_norm  # noqa: F401  (perfbench wraps it by name)
-from repro.optim.ema import EMAWeights
 from repro.optim.loss_scaler import DynamicLossScaler
 from repro.schedules.base import Schedule
 from repro.train.trainer import Trainer, TrainResult
 from repro.utils.checkpoint import CheckpointManager, read_checkpoint_extra
+
+LR_BACKOFF = 0.5  # peak-LR factor applied by each recovery
 
 
 class RecoverySchedule(Schedule):
@@ -91,19 +92,16 @@ class RecoverySchedule(Schedule):
 class CheckpointedTrainer(Trainer):
     """The training loop with hardened checkpoints.
 
-    A baseline save at run start (or a full-state resume), a save every
-    ``checkpoint_every`` epochs and after the last one, and one restore
-    shared by resume and rollback.  Subclasses set ``model``, ``manager``
-    (``None`` turns checkpoints off) and ``checkpoint_every``, and carry
-    their own policy scalars in a checkpoint's ``extra`` through
-    :meth:`_state` / :meth:`_load_state`.  The schedule is a
+    A baseline save at run start (or a full-state resume), a save after
+    every epoch, and one restore shared by resume and rollback.
+    Subclasses set ``model`` and ``manager`` (``None`` turns checkpoints
+    off), and carry their own policy scalars in a checkpoint's ``extra``
+    through :meth:`_state` / :meth:`_load_state`.  The schedule is a
     :class:`RecoverySchedule` envelope, whose state rides along.
     """
 
     model = None
     manager: CheckpointManager | None = None
-    checkpoint_every = 1
-    ema: EMAWeights | None = None
 
     @property
     def envelope(self) -> RecoverySchedule:
@@ -128,7 +126,6 @@ class CheckpointedTrainer(Trainer):
             self.optimizer,
             iteration,
             loss_scaler=self.loss_scaler,
-            ema=self.ema,
             rng=getattr(self.train_iter, "rng", None),
             extra={"epoch": float(epoch), **self._state()},
         )
@@ -145,7 +142,6 @@ class CheckpointedTrainer(Trainer):
             self.model,
             self.optimizer,
             loss_scaler=self.loss_scaler,
-            ema=self.ema,
             rng=getattr(self.train_iter, "rng", None),
         )
         if loaded is None:
@@ -169,10 +165,8 @@ class CheckpointedTrainer(Trainer):
         if self.health is not None:
             result.final_metrics["health_events"] = float(len(self.health.events))
 
-    def _epoch_end(self, log, epoch: int, iteration: int, epochs: int) -> None:
-        if self.manager is not None and (
-            epoch % self.checkpoint_every == 0 or epoch == epochs
-        ):
+    def _epoch_end(self, log, epoch: int, iteration: int) -> None:
+        if self.manager is not None:
             self._save(iteration, epoch)
 
 
@@ -180,10 +174,10 @@ class ResilientTrainer(CheckpointedTrainer):
     """Drive a model through ``epochs`` epochs, surviving faults.
 
     The :class:`~repro.train.trainer.Trainer` loop with a rollback fault
-    policy, checkpoints and an optional EMA update after each step.  A
-    fault is a non-finite loss (after ``fault_injector``), a non-finite
-    eval metric, or a critical health event; each one rolls back until
-    ``max_recoveries`` is spent, and the next ends the run as diverged.
+    policy and checkpoints.  A fault is a non-finite loss (after
+    ``fault_injector``), a non-finite eval metric, or a critical health
+    event; each one rolls back until ``max_recoveries`` is spent, and the
+    next ends the run as diverged.
 
     Parameters
     ----------
@@ -197,23 +191,21 @@ class ResilientTrainer(CheckpointedTrainer):
         re-iterable with a ``steps_per_epoch`` attribute, and when it
         exposes a ``rng`` generator (both library iterators do) the
         shuffling stream is checkpointed for bit-exact resume.
-    checkpoint_dir / keep_last / checkpoint_every:
-        Hardened checkpoints land in ``checkpoint_dir`` every
-        ``checkpoint_every`` epochs (and always after the final epoch),
-        keeping the newest ``keep_last`` files.
-    max_recoveries / lr_backoff / rewarmup_iters:
-        The recovery policy: how many rollbacks before giving up, the
-        peak-LR back-off factor per recovery, and the re-warmup ramp
-        length (default: one epoch of iterations).
+    checkpoint_dir / keep_last:
+        Hardened checkpoints land in ``checkpoint_dir`` after every
+        epoch, keeping the newest ``keep_last`` files.
+    max_recoveries:
+        How many rollbacks before giving up.  Each one multiplies the
+        peak LR by :data:`LR_BACKOFF` and re-warms over one epoch's
+        steps.
     loss_fn:
         Defaults to ``model.loss``.  A cluster trains through this loop
         with ``loss_fn=cluster.as_loss_fn(model)``; its loss is checked
         like any other, and rollback restores the parameters the cluster
         reads at its next step.
-    loss_scaler / ema:
+    loss_scaler:
         Optional :class:`DynamicLossScaler` (scaled backward, skip on
-        overflow) and :class:`EMAWeights` (updated after each step); both
-        are covered by checkpoints.
+        overflow), covered by checkpoints.
     amp:
         Emulated mixed-precision, as for
         :class:`~repro.train.trainer.Trainer`: autocast forward, fp16
@@ -256,22 +248,14 @@ class ResilientTrainer(CheckpointedTrainer):
         grad_clip: float | None = None,
         obs: Obs | None = None,
         keep_last: int | None = 3,
-        checkpoint_every: int = 1,
         max_recoveries: int = 2,
-        lr_backoff: float = 0.5,
-        rewarmup_iters: int | None = None,
         loss_scaler: DynamicLossScaler | None = None,
         amp: bool | None = None,
-        ema: EMAWeights | None = None,
         fault_injector: Callable[[int, float], float] | None = None,
         metrics_every: int = 0,
     ) -> None:
-        if checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be >= 1")
         if max_recoveries < 0:
             raise ValueError("max_recoveries must be >= 0")
-        if not 0.0 < lr_backoff <= 1.0:
-            raise ValueError("lr_backoff must be in (0, 1]")
         super().__init__(
             model.loss if loss_fn is None else loss_fn,
             optimizer,
@@ -286,13 +270,9 @@ class ResilientTrainer(CheckpointedTrainer):
         )
         self.model = model
         self.manager = CheckpointManager(checkpoint_dir, keep_last=keep_last)
-        self.checkpoint_every = int(checkpoint_every)
         self.max_recoveries = int(max_recoveries)
-        self.lr_backoff = float(lr_backoff)
-        if rewarmup_iters is None:
-            rewarmup_iters = int(getattr(train_iter, "steps_per_epoch", 1) or 1)
-        self.rewarmup_iters = int(rewarmup_iters)
-        self.ema = ema
+        # re-warm over one epoch's steps
+        self.rewarmup_iters = int(getattr(train_iter, "steps_per_epoch", 1) or 1)
         self.fault_injector = fault_injector
         self._monitor()
         self.recoveries = 0
@@ -316,10 +296,6 @@ class ResilientTrainer(CheckpointedTrainer):
         if self.obs is not None and self.obs.metrics is not None:
             self.obs.metrics.counter(name).inc()
 
-    def _after_step(self, iteration: int) -> None:
-        if self.ema is not None:
-            self.ema.update()
-
     def _fault(self) -> tuple[int, int] | None:
         """Roll back to the last good checkpoint and back off the peak LR."""
         self.faults_detected += 1
@@ -333,7 +309,7 @@ class ResilientTrainer(CheckpointedTrainer):
         self.recoveries += 1
         self._count("resilience/recoveries")
         self.schedule.back_off(
-            self.lr_backoff, at_iteration=restored[0], rewarmup_steps=self.rewarmup_iters
+            LR_BACKOFF, at_iteration=restored[0], rewarmup_steps=self.rewarmup_iters
         )
         return restored
 

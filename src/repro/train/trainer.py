@@ -26,7 +26,7 @@ them overridden, and have no loop of their own:
 
 * **run start** — iteration 0; or a resume / baseline checkpoint;
 * **epoch start** — keep the loader; or change the batch size;
-* **after step** — nothing; or an EMA update / noise-scale feed;
+* **after step** — nothing; or a noise-scale feed;
 * **fault** (non-finite loss or eval metric, critical health event) —
   stop, recorded as diverged; or roll back to the last checkpoint;
 * **epoch end** — nothing; or a checkpoint;
@@ -70,7 +70,6 @@ class TrainResult:
     diverged: bool = False
     epochs_completed: int = 0
     final_metrics: dict[str, float] = field(default_factory=dict)
-    stopped_early: bool = False
 
     def metric(self, name: str, default: float | None = None) -> float | None:
         return self.final_metrics.get(name, default)
@@ -122,10 +121,6 @@ class Trainer:
         diverged, like on a non-finite loss.
     grad_clip:
         Optional global-norm clip threshold.
-    callbacks:
-        Optional list of :class:`repro.train.callbacks.Callback` hooks;
-        a callback returning ``True`` from ``on_epoch_end`` stops training
-        (``result.stopped_early`` is set — distinct from divergence).
     obs:
         Optional :class:`repro.obs.Obs`; enabled instruments receive
         phase spans and per-iteration metrics.  ``None`` (the default)
@@ -168,7 +163,6 @@ class Trainer:
         train_iter: Iterable,
         eval_fn: Callable[[], dict[str, float]] | None = None,
         grad_clip: float | None = None,
-        callbacks: list | None = None,
         obs: Obs | None = None,
         metrics_every: int = 0,
         amp: bool | None = None,
@@ -191,7 +185,6 @@ class Trainer:
         self.train_iter = train_iter
         self.eval_fn = eval_fn
         self.grad_clip = grad_clip
-        self.callbacks = list(callbacks or [])
         self.obs = obs
         self.metrics_every = metrics_every
         self.amp = bool(amp)
@@ -218,12 +211,7 @@ class Trainer:
 
     def _run(self, epochs: int, log_every: int, resume: bool) -> TrainResult:
         with self._span(self._run_span):
-            result = self._loop(epochs, log_every, resume)
-            # every exit path (normal end, early stop, divergence) fires the
-            # callbacks' on_train_end hook exactly once
-            for callback in self.callbacks:
-                callback.on_train_end(result)
-        return result
+            return self._loop(epochs, log_every, resume)
 
     def _sample(self, mreg, iteration: int) -> bool:
         """Sample the registry; True when the health monitor calls it a fault.
@@ -337,11 +325,8 @@ class Trainer:
                     pending = None
                 else:
                     pending = (iteration, loss_val, lr, norm)
-                for callback in self.callbacks:
-                    callback.on_iteration(iteration, loss_val, lr)
                 iteration += 1
 
-            metrics: dict[str, float] = {}
             if not faulted:
                 if n_batches == 0 and prev_batches:
                     raise ValueError(
@@ -373,11 +358,7 @@ class Trainer:
                 prev_batches = None
                 continue
 
-            self._epoch_end(log, epoch, iteration, epochs)
-            stops = [cb.on_epoch_end(epoch - 1, metrics) for cb in self.callbacks]
-            if any(stops):
-                result.stopped_early = True
-                break
+            self._epoch_end(log, epoch, iteration)
 
         if pending is not None:
             _record_point(log, *pending)
@@ -404,7 +385,7 @@ class Trainer:
         ``(iteration, epoch)`` resumes the loop from there."""
         return None
 
-    def _epoch_end(self, log: RunLog, epoch: int, iteration: int, epochs: int) -> None:
+    def _epoch_end(self, log: RunLog, epoch: int, iteration: int) -> None:
         """After epoch ``epoch`` (1-based) and its eval passed."""
 
     def _finish(self, result: TrainResult, iteration: int) -> None:

@@ -1,8 +1,9 @@
-"""Shared utilities: deterministic RNG handling, ASCII tables, run logging."""
+"""Shared utilities: deterministic RNG handling, ASCII tables, run logging,
+checkpoints."""
 
-from repro.utils.rng import as_generator, spawn, seed_everything
-from repro.utils.tables import Table, format_series
-from repro.utils.log import RunLog, Timer
+from repro.utils.rng import as_generator, spawn
+from repro.utils.tables import Table
+from repro.utils.log import RunLog
 from repro.utils.checkpoint import (
     CheckpointCorruptError,
     CheckpointManager,
@@ -17,11 +18,8 @@ __all__ = [
     "sparkline",
     "as_generator",
     "spawn",
-    "seed_everything",
     "Table",
-    "format_series",
     "RunLog",
-    "Timer",
     "save_checkpoint",
     "load_checkpoint",
     "read_checkpoint_extra",

@@ -18,8 +18,7 @@ Hardening guarantees:
   instead of silently restoring garbage;
 * **full state coverage** — beyond model and optimizer arrays, a
   checkpoint can carry the optimizer's current ``lr``, a
-  :class:`~repro.optim.loss_scaler.DynamicLossScaler`, an
-  :class:`~repro.optim.ema.EMAWeights` shadow, a NumPy
+  :class:`~repro.optim.loss_scaler.DynamicLossScaler`, a NumPy
   :class:`~numpy.random.Generator` state (the data iterator's shuffling
   stream) and arbitrary scalar ``extra`` entries — enough for *every*
   solver to resume bit-exactly;
@@ -42,13 +41,11 @@ import numpy as np
 if TYPE_CHECKING:  # imported lazily to avoid a utils <-> nn import cycle
     from repro.nn.module import Module
     from repro.optim.base import Optimizer
-    from repro.optim.ema import EMAWeights
     from repro.optim.loss_scaler import DynamicLossScaler
 
 _META_PREFIX = "__meta__"
 _MODEL_PREFIX = "model/"
 _OPT_PREFIX = "opt/"
-_EMA_PREFIX = "ema/"
 _SCALER_PREFIX = "__scaler__"
 _EXTRA_PREFIX = "__extra__"
 _RNG_KEY = f"{_META_PREFIX}rng_state"
@@ -89,16 +86,15 @@ def save_checkpoint(
     iteration: int = 0,
     *,
     loss_scaler: "DynamicLossScaler | None" = None,
-    ema: "EMAWeights | None" = None,
     rng: np.random.Generator | None = None,
     extra: dict[str, float] | None = None,
 ) -> None:
     """Write a checkpoint file (``.npz``) atomically.
 
     The archive always covers the model (and optimizer, when given);
-    ``loss_scaler``, ``ema``, ``rng`` and scalar ``extra`` entries are
-    optional add-ons so mixed-precision / EMA / shuffled-data runs resume
-    bit-exactly too.
+    ``loss_scaler``, ``rng`` and scalar ``extra`` entries are optional
+    add-ons so mixed-precision and shuffled-data runs resume bit-exactly
+    too.
     """
     path = pathlib.Path(path)
     arrays: dict[str, np.ndarray] = {
@@ -113,9 +109,6 @@ def save_checkpoint(
     if loss_scaler is not None:
         for key, value in loss_scaler.state_dict().items():
             arrays[f"{_SCALER_PREFIX}{key}"] = np.asarray(value)
-    if ema is not None:
-        for name, arr in ema.state_dict().items():
-            arrays[f"{_EMA_PREFIX}{name}"] = arr
     if rng is not None:
         arrays[_RNG_KEY] = _encode_rng(rng)
     for key, value in (extra or {}).items():
@@ -155,7 +148,6 @@ def load_checkpoint(
     optimizer: "Optimizer | None" = None,
     *,
     loss_scaler: "DynamicLossScaler | None" = None,
-    ema: "EMAWeights | None" = None,
     rng: np.random.Generator | None = None,
 ) -> int:
     """Restore a checkpoint in place; returns the saved iteration count.
@@ -194,14 +186,6 @@ def load_checkpoint(
         }
         if scaler_state:
             loss_scaler.load_state_dict(scaler_state)
-    if ema is not None:
-        ema_state = {
-            name[len(_EMA_PREFIX):]: data[name].copy()
-            for name in data
-            if name.startswith(_EMA_PREFIX)
-        }
-        if ema_state:
-            ema.load_state_dict(ema_state)
     if rng is not None and _RNG_KEY in data:
         _decode_rng(data[_RNG_KEY], rng)
     return int(data[f"{_META_PREFIX}iteration"])
@@ -259,19 +243,6 @@ class CheckpointManager:
     def latest(self) -> pathlib.Path | None:
         files = self.checkpoints()
         return files[-1] if files else None
-
-    def latest_step(self) -> int | None:
-        """Newest checkpoint's step, from filenames alone.
-
-        This is the cheap "is there anything newer?" probe the serving
-        hot-swap polls: a directory listing plus an integer parse — no
-        archive is opened, so a concurrently-writing trainer is never
-        raced mid-save (and :func:`save_checkpoint`'s atomic
-        ``os.replace`` guarantees the file behind the answer is either
-        absent or complete).
-        """
-        latest = self.latest()
-        return None if latest is None else self.step_of(latest)
 
     def save(
         self,

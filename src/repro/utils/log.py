@@ -1,18 +1,14 @@
-"""Lightweight run logging and wall-clock timing.
+"""Lightweight run logging.
 
 The training loop records per-iteration and per-epoch scalars into a
 :class:`RunLog`; experiment drivers then read series out of it to build the
-paper's figures.  Keeping this independent of any logging framework makes
-runs trivially serialisable and testable.
+paper's figures.
 """
 
 from __future__ import annotations
 
-import json
-import time
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Any
 
 
 @dataclass
@@ -27,7 +23,6 @@ class RunLog:
     series: dict[str, list[tuple[int, float]]] = field(
         default_factory=lambda: defaultdict(list)
     )
-    meta: dict[str, Any] = field(default_factory=dict)
 
     def record(self, name: str, step: int, value: float) -> None:
         self.series[name].append((int(step), float(value)))
@@ -37,88 +32,3 @@ class RunLog:
 
     def values(self, name: str) -> list[float]:
         return [v for _, v in self.series.get(name, [])]
-
-    def last(self, name: str, default: float | None = None) -> float | None:
-        entries = self.series.get(name)
-        if not entries:
-            return default
-        return entries[-1][1]
-
-    def best(self, name: str, mode: str = "max") -> float:
-        """Best value of a series (``mode`` is ``'max'`` or ``'min'``)."""
-        vals = self.values(name)
-        if not vals:
-            raise KeyError(f"no series named {name!r}")
-        return max(vals) if mode == "max" else min(vals)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.series and bool(self.series[name])
-
-    def to_csv(self, name: str) -> str:
-        """One series as ``step,value`` CSV text (plotting hand-off)."""
-        if name not in self:
-            raise KeyError(f"no series named {name!r}")
-        lines = ["step,value"]
-        lines.extend(f"{s},{v!r}" for s, v in self.series[name])
-        return "\n".join(lines) + "\n"
-
-    def to_jsonl(self) -> str:
-        """The whole log — ``meta`` plus every series — as JSONL text.
-
-        Unlike :meth:`to_csv` (one series, no meta) this is a lossless
-        round-trip with :meth:`from_jsonl`: the first line carries
-        ``meta``, then one line per series in insertion order.  Non-finite
-        values survive (Python's JSON emits/accepts ``NaN``/``Infinity``).
-        """
-        lines = [json.dumps({"kind": "meta", "meta": self.meta})]
-        for name, points in self.series.items():
-            lines.append(
-                json.dumps(
-                    {
-                        "kind": "series",
-                        "name": name,
-                        "points": [[s, v] for s, v in points],
-                    }
-                )
-            )
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_jsonl(cls, text: str) -> "RunLog":
-        """Rebuild a :class:`RunLog` from :meth:`to_jsonl` output."""
-        log = cls()
-        for line in text.splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            kind = obj.get("kind")
-            if kind == "meta":
-                log.meta.update(obj.get("meta", {}))
-            elif kind == "series":
-                for step, value in obj["points"]:
-                    log.record(obj["name"], step, value)
-            else:
-                raise ValueError(f"unknown RunLog JSONL record kind {kind!r}")
-        return log
-
-    def save_jsonl(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_jsonl())
-
-    @classmethod
-    def load_jsonl(cls, path: str) -> "RunLog":
-        with open(path) as fh:
-            return cls.from_jsonl(fh.read())
-
-
-class Timer:
-    """Context-manager stopwatch: ``with Timer() as t: ...; t.elapsed``."""
-
-    def __enter__(self) -> "Timer":
-        self._start = time.perf_counter()
-        self.elapsed = 0.0
-        return self
-
-    def __exit__(self, *exc: object) -> None:
-        self.elapsed = time.perf_counter() - self._start

@@ -10,8 +10,6 @@ perturbs another.
 
 from __future__ import annotations
 
-import random
-
 import numpy as np
 
 RngLike = "int | np.random.Generator | None"
@@ -37,14 +35,3 @@ def spawn(rng: int | np.random.Generator | None, n: int) -> list[np.random.Gener
     parent state — adding consumers later never reorders earlier streams.
     """
     return list(as_generator(rng).spawn(n))
-
-
-def seed_everything(seed: int) -> np.random.Generator:
-    """Seed Python's ``random`` and return a NumPy root generator.
-
-    The library itself never uses global RNG state, but third-party test
-    machinery (e.g. hypothesis shrinking reruns) is easier to reason about
-    when the ambient state is pinned too.
-    """
-    random.seed(seed)
-    return np.random.default_rng(seed)

@@ -59,16 +59,3 @@ class Table:
     def to_dicts(self) -> list[dict[str, str]]:
         """Rows as dictionaries keyed by column name (for tests)."""
         return [dict(zip(self.columns, row)) for row in self.rows]
-
-
-def format_series(name: str, xs: Sequence[Any], ys: Sequence[Any]) -> str:
-    """Render an (x, y) series the way the paper's figures plot them.
-
-    Used by figure benches: one line per point keeps the output grep-able.
-    """
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    lines = [f"series: {name}"]
-    for x, y in zip(xs, ys):
-        lines.append(f"  {_fmt(x)}\t{_fmt(y)}")
-    return "\n".join(lines)

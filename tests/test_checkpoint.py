@@ -138,28 +138,21 @@ class TestHardenedCheckpoint:
         assert fresh_opt.lr == 0.025
         assert np.array_equal(fresh_rng.random(4), probe)  # bit-exact stream
 
-    def test_scaler_and_ema_roundtrip(self, tmp_path, mnist_small):
-        from repro.optim import DynamicLossScaler, EMAWeights
+    def test_scaler_roundtrip(self, tmp_path, mnist_small):
+        from repro.optim import DynamicLossScaler
 
         model = make_model()
         scaler = DynamicLossScaler(initial_scale=32.0)
         scaler.scale = 4.0
         scaler.steps_skipped = 3
-        ema = EMAWeights(list(model.named_parameters()), decay=0.9)
-        ema.update()
         path = tmp_path / "se.npz"
-        save_checkpoint(path, model, loss_scaler=scaler, ema=ema)
+        save_checkpoint(path, model, loss_scaler=scaler)
 
         other = make_model()
         other_scaler = DynamicLossScaler()
-        other_ema = EMAWeights(list(other.named_parameters()), decay=0.9)
-        load_checkpoint(path, other, loss_scaler=other_scaler, ema=other_ema)
+        load_checkpoint(path, other, loss_scaler=other_scaler)
         assert other_scaler.scale == 4.0
         assert other_scaler.steps_skipped == 3
-        for (name, a), (_, b) in zip(
-            ema.state_dict().items(), other_ema.state_dict().items()
-        ):
-            assert np.array_equal(a, b), name
 
     def test_extra_scalars_roundtrip(self, tmp_path):
         from repro.utils import read_checkpoint_extra
@@ -208,7 +201,7 @@ class TestCheckpointManager:
 
 
 class TestSnapshotVersions:
-    """latest_step()/step_of(): the serving hot-swap's staleness probe."""
+    """latest() + step_of(): the serving hot-swap's staleness probe."""
 
     def test_step_of_parses_manager_names(self, tmp_path):
         from repro.utils import CheckpointManager
@@ -218,15 +211,15 @@ class TestSnapshotVersions:
         assert CheckpointManager.step_of("ckpt_0000000007.npz") == 7
         assert CheckpointManager.step_of("hand_named.npz") is None
 
-    def test_latest_step_tracks_saves(self, tmp_path):
+    def test_latest_tracks_saves(self, tmp_path):
         from repro.utils import CheckpointManager
 
         mgr = CheckpointManager(tmp_path, keep_last=2)
-        assert mgr.latest_step() is None
+        assert mgr.latest() is None
         model = make_model()
         for step in (3, 8, 21):
             mgr.save(model, iteration=step, step=step)
-            assert mgr.latest_step() == step
+            assert CheckpointManager.step_of(mgr.latest()) == step
         # retention pruned older files but the newest step survives
         assert [CheckpointManager.step_of(p) for p in mgr.checkpoints()] == [8, 21]
 
@@ -258,8 +251,7 @@ class TestSnapshotVersions:
             reader_model = make_model()
             try:
                 while not stop.is_set():
-                    step = reader_mgr.latest_step()
-                    if step is None:
+                    if reader_mgr.latest() is None:
                         continue
                     loaded = reader_mgr.load_latest(reader_model)
                     if loaded is None:

@@ -1,4 +1,4 @@
-"""Convolution and pooling: gradchecks, shape law, independent references."""
+"""Convolution and global pooling: gradchecks, shape law, independent references."""
 
 from __future__ import annotations
 
@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from scipy import signal
 
-from repro.tensor import Tensor, avg_pool2d, conv2d, gradcheck, max_pool2d
+from repro.nn import GlobalAvgPool
+from repro.tensor import Tensor, conv2d, gradcheck
 
 
 def t(rng, *shape, scale=1.0):
@@ -84,36 +85,7 @@ class TestConvBackward:
 
 
 class TestPooling:
-    def test_max_pool_values(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = max_pool2d(Tensor(x), 2).data
-        assert np.allclose(out[0, 0], [[5, 7], [13, 15]])
-
-    def test_avg_pool_values(self):
-        x = np.arange(16, dtype=float).reshape(1, 1, 4, 4)
-        out = avg_pool2d(Tensor(x), 2).data
-        assert np.allclose(out[0, 0], [[2.5, 4.5], [10.5, 12.5]])
-
-    def test_max_pool_gradcheck(self, rng):
-        vals = rng.permutation(32).reshape(1, 2, 4, 4).astype(float)
-        x = Tensor(vals, requires_grad=True)
-        assert gradcheck(lambda x: (max_pool2d(x, 2) ** 2).sum(), [x])
-
-    def test_avg_pool_gradcheck(self, rng):
-        x = t(rng, 1, 2, 4, 4)
-        assert gradcheck(lambda x: (avg_pool2d(x, 2) ** 2).sum(), [x])
-
-    def test_max_pool_grad_hits_argmax_only(self):
-        x = Tensor(np.arange(4, dtype=float).reshape(1, 1, 2, 2), requires_grad=True)
-        max_pool2d(x, 2).sum().backward()
-        assert np.allclose(x.grad[0, 0], [[0, 0], [0, 1]])
-
-    def test_strided_pool_shapes(self, rng):
-        x = Tensor(rng.standard_normal((2, 3, 6, 6)))
-        assert max_pool2d(x, 2, stride=2).shape == (2, 3, 3, 3)
-        assert avg_pool2d(x, 3, stride=3).shape == (2, 3, 2, 2)
-
     def test_global_avg_pool_equals_mean(self, rng):
         x = rng.standard_normal((2, 3, 5, 5))
-        out = avg_pool2d(Tensor(x), 5).data
-        assert np.allclose(out.reshape(2, 3), x.mean(axis=(2, 3)))
+        out = GlobalAvgPool()(Tensor(x)).data
+        assert np.allclose(out, x.mean(axis=(2, 3)))

@@ -1,4 +1,4 @@
-"""The extensions compose: EMA×trainer, scaler×LEGW.
+"""The extensions compose: loss scaler × LEGW.
 
 Each extension is unit-tested in isolation; these tests exercise the
 combinations a real user would run, pinning the cross-cutting invariants.
@@ -11,9 +11,9 @@ import pytest
 
 from repro.data import BatchIterator, make_sequential_mnist
 from repro.models import MnistLSTMClassifier
-from repro.optim import DynamicLossScaler, EMAWeights, Momentum
+from repro.optim import DynamicLossScaler, Momentum
 from repro.schedules import LEGW
-from repro.train import LambdaCallback, Trainer
+from repro.train import Trainer
 
 
 @pytest.fixture
@@ -27,33 +27,6 @@ def make_model(seed=3):
 
 @pytest.mark.slow
 class TestCompositions:
-    def test_ema_tracks_training_through_callback(self, mnist):
-        train, test = mnist
-        model = make_model()
-        ema = EMAWeights(list(model.named_parameters()), decay=0.9)
-        cb = LambdaCallback(on_iteration=lambda i, loss, lr: ema.update())
-        Trainer(
-            model.loss, Momentum(model, lr=0.05),
-            LEGW(0.05, 8, 0.1, 16, -(-len(train) // 16)),
-            BatchIterator(train, 16, rng=1),
-            callbacks=[cb],
-        ).run(3)
-        # the shadow moved away from init and toward the live weights
-        live = model.state_dict()
-        with ema:
-            shadow = model.state_dict()
-        gaps = [
-            np.abs(live[name] - shadow[name]).max() for name in live
-        ]
-        assert max(gaps) > 0.0  # shadow lags the live weights...
-        fresh = make_model().state_dict()
-        closer = sum(
-            np.abs(shadow[name] - live[name]).sum()
-            < np.abs(fresh[name] - live[name]).sum()
-            for name in live
-        )
-        assert closer > len(live) // 2  # ...but is far closer than init
-
     def test_loss_scaler_with_legw_matches_unscaled(self, mnist):
         """Loss scaling composed with a LEGW schedule is a no-op on the
         trajectory (float64 powers of two are exact)."""

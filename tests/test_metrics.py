@@ -1,4 +1,4 @@
-"""Metrics: accuracy, top-k, perplexity, corpus BLEU."""
+"""Metrics: accuracy, top-k, corpus BLEU."""
 
 from __future__ import annotations
 
@@ -12,7 +12,6 @@ from repro.train import (
     accuracy,
     corpus_bleu,
     ngram_counts,
-    perplexity_from_loss,
     top_k_accuracy,
 )
 
@@ -57,14 +56,6 @@ class TestTopK:
             top_k_accuracy(np.zeros((2, 3)), np.zeros(2, dtype=int), k=0)
         with pytest.raises(ValueError):
             top_k_accuracy(np.zeros(3), np.zeros(3, dtype=int))
-
-
-class TestPerplexity:
-    def test_exp_of_nll(self):
-        assert perplexity_from_loss(math.log(100.0)) == pytest.approx(100.0)
-
-    def test_capped_on_divergence(self):
-        assert math.isfinite(perplexity_from_loss(1e9))
 
 
 class TestNgramCounts:

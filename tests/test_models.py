@@ -20,8 +20,6 @@ from repro.models import (
     MiniResNet,
     MnistLSTMClassifier,
     PTBLanguageModel,
-    ptb_large_config,
-    ptb_small_config,
 )
 from repro.tensor import Tensor
 
@@ -60,15 +58,6 @@ class TestMnistModel:
 
 
 class TestPTBModel:
-    def test_configs_match_paper_shapes(self):
-        small, large = ptb_small_config(), ptb_large_config()
-        assert small["embed_dim"] == 200 and small["seq_len"] == 20
-        assert large["embed_dim"] == 1500 and large["seq_len"] == 35
-        assert small["init_scale"] == 0.1 and large["init_scale"] == 0.04
-        # scaled-down variants shrink width but keep structure
-        assert ptb_small_config(0.1)["embed_dim"] == 20
-        assert ptb_small_config(0.1)["num_layers"] == 2
-
     def test_paper_kernel_shape(self):
         """PTB-small: 'the LSTM Cell Kernel is an 400-by-800 matrix'."""
         lm = PTBLanguageModel(100, rng=0, embed_dim=200, hidden=200)

@@ -1,4 +1,4 @@
-"""Finer-grained model behaviours: smoothing, dropout modes, geometry."""
+"""Finer-grained model behaviours: smoothing, geometry."""
 
 from __future__ import annotations
 
@@ -51,22 +51,6 @@ class TestGNMTLabelSmoothing:
         assert keys.shape == (6, 3, 8)
         assert mask.shape == (6, 3)
         assert mask[:, 2].tolist() == [1, 1, 0, 0, 0, 0]
-
-
-class TestPTBDropout:
-    def test_train_mode_stochastic_eval_deterministic(self, rng):
-        lm = PTBLanguageModel(20, rng=0, embed_dim=8, hidden=8, dropout=0.5)
-        tokens = rng.integers(0, 20, (4, 6))
-        # training: two forwards differ (different masks)
-        a = lm(tokens).data
-        b = lm(tokens).data
-        assert not np.allclose(a, b)
-        # eval: dropout off, two forwards identical
-        lm.eval()
-        with no_grad():
-            c = lm(tokens).data
-            d = lm(tokens).data
-        assert np.allclose(c, d)
 
 
 class TestMiniResNetGeometry:

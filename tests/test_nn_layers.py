@@ -1,4 +1,4 @@
-"""Layer behaviours: Linear, Embedding, Dropout, LSTM, attention, BN, losses."""
+"""Layer behaviours: Linear, Embedding, LSTM, attention, BN, conv modules."""
 
 from __future__ import annotations
 
@@ -9,14 +9,11 @@ from repro.nn import (
     BahdanauAttention,
     BatchNorm2d,
     Conv2d,
-    CrossEntropyLoss,
-    Dropout,
     Embedding,
     GlobalAvgPool,
     Linear,
     LSTM,
     LSTMCell,
-    SequenceCrossEntropy,
 )
 from repro.tensor import Tensor, gradcheck
 
@@ -61,24 +58,6 @@ class TestEmbedding:
     def test_deterministic_by_seed(self):
         a, b = Embedding(10, 4, rng=7), Embedding(10, 4, rng=7)
         assert np.allclose(a.weight.data, b.weight.data)
-
-
-class TestDropout:
-    def test_eval_mode_identity(self, rng):
-        d = Dropout(0.9, rng=0)
-        d.eval()
-        x = Tensor(rng.standard_normal(100))
-        assert d(x) is x
-
-    def test_train_mode_drops(self, rng):
-        d = Dropout(0.5, rng=0)
-        x = Tensor(np.ones(1000))
-        out = d(x).data
-        assert (out == 0).any() and (out > 1.0).any()
-
-    def test_invalid_p(self):
-        with pytest.raises(ValueError):
-            Dropout(1.0, rng=0)
 
 
 class TestLSTMCell:
@@ -161,14 +140,6 @@ class TestLSTM:
         out2, _ = lstm(x, initial_states=states)
         out1, _ = lstm(x)
         assert not np.allclose(out1.data, out2.data)
-
-    def test_dropout_only_in_training(self, rng):
-        lstm = LSTM(3, 4, num_layers=2, rng=0, dropout=0.5)
-        x = Tensor(rng.standard_normal((3, 2, 3)))
-        lstm.eval()
-        a = lstm(x)[0].data
-        b = lstm(x)[0].data
-        assert np.allclose(a, b)  # eval: deterministic
 
     def test_mask_freezes_state_and_zeroes_output(self, rng):
         lstm = LSTM(3, 4, num_layers=1, rng=0)
@@ -282,18 +253,6 @@ class TestBatchNorm:
 
 
 class TestLossModules:
-    def test_cross_entropy_loss_module(self, rng):
-        loss_fn = CrossEntropyLoss()
-        logits = Tensor(rng.standard_normal((4, 5)))
-        loss = loss_fn(logits, rng.integers(0, 5, 4))
-        assert loss.size == 1 and np.isfinite(loss.item())
-
-    def test_sequence_ce_equals_log_perplexity(self, rng):
-        loss_fn = SequenceCrossEntropy()
-        logits = Tensor(np.zeros((3, 2, 7)))
-        targets = rng.integers(0, 7, (3, 2))
-        assert loss_fn(logits, targets).item() == pytest.approx(np.log(7))
-
     def test_conv_and_pool_modules_compose(self, rng):
         conv = Conv2d(3, 4, 3, rng=0, padding=1)
         gap = GlobalAvgPool()

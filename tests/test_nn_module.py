@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.nn import Dropout, Linear, Module, ModuleList, Parameter, Sequential
+from repro.nn import BatchNorm2d, Linear, Module, ModuleList, Parameter
 from repro.tensor import Tensor
 
 
@@ -88,7 +88,7 @@ class TestStateDict:
 
 class TestModes:
     def test_train_eval_propagates(self):
-        m = Sequential(Linear(2, 2, rng=0), Dropout(0.5, rng=1))
+        m = ModuleList([Linear(2, 2, rng=0), BatchNorm2d(2)])
         m.eval()
         assert all(not mod.training for mod in m.modules())
         m.train()
@@ -107,46 +107,31 @@ class TestModes:
             Module()(1)
 
 
-class TestSequential:
-    def test_composes_in_order(self, rng):
-        l1, l2 = Linear(3, 4, rng=0), Linear(4, 2, rng=1)
-        seq = Sequential(l1, l2)
-        x = Tensor(rng.standard_normal((5, 3)))
-        assert np.allclose(seq(x).data, l2(l1(x)).data)
-
-    def test_params_gathered(self):
-        seq = Sequential(Linear(2, 2, rng=0), Linear(2, 2, rng=1))
-        assert len(seq.parameters()) == 4
-
-
 class TestTrainingFlagPropagation:
     """Serving depends on eval()/train() reaching every nested module:
-    an eval-mode server with a training-mode Dropout buried three levels
-    deep would serve noisy predictions."""
+    an eval-mode server with a training-mode BatchNorm buried three levels
+    deep would normalise each served batch by its own statistics."""
 
     @staticmethod
     def _deep_model():
-        from repro.nn import BatchNorm2d
-
         class Inner(Module):
             def __init__(self):
                 super().__init__()
-                self.drop = Dropout(0.5, rng=1)
                 self.bn = BatchNorm2d(3)
 
             def forward(self, x):
-                return self.bn(self.drop(x))
+                return self.bn(x)
 
         class Outer(Module):
             def __init__(self):
                 super().__init__()
                 self.stack = ModuleList([Inner(), Inner()])
-                self.tail = Sequential(Inner())
+                self.tail = ModuleList([Inner()])
 
             def forward(self, x):
                 for inner in self.stack:
                     x = inner(x)
-                return self.tail(x)
+                return self.tail[0](x)
 
         return Outer()
 
@@ -168,16 +153,6 @@ class TestTrainingFlagPropagation:
         model.eval().train().eval()
         assert all(not m.training for m in model.modules())
         assert len(modes) == sum(1 for _ in model.modules())
-
-    def test_dropout_identity_in_eval_stochastic_in_train(self, rng):
-        drop = Dropout(0.5, rng=7)
-        x = Tensor(rng.standard_normal((64, 8)))
-        drop.eval()
-        assert np.array_equal(drop(x).data, x.data)
-        drop.train()
-        masked = drop(x).data
-        assert not np.array_equal(masked, x.data)
-        assert (masked == 0.0).any()
 
     def test_batchnorm_uses_running_stats_in_eval(self, rng):
         from repro.nn import BatchNorm2d

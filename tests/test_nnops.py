@@ -1,4 +1,4 @@
-"""Tests for fused NN primitives: softmax, cross-entropy, embedding, dropout."""
+"""Tests for fused NN primitives: softmax, cross-entropy, embedding."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro.tensor import (
     Tensor,
     cross_entropy,
-    dropout_mask,
     embedding_lookup,
     gradcheck,
     log_softmax,
@@ -152,33 +151,3 @@ class TestEmbedding:
         table = Tensor(rng.standard_normal((3, 2)))
         with pytest.raises(ValueError):
             embedding_lookup(table, np.array([3]))
-
-
-class TestDropout:
-    def test_p_zero_identity(self, rng):
-        x = Tensor(rng.standard_normal(10))
-        assert dropout_mask(x, 0.0, rng) is x
-
-    def test_preserves_expectation(self, rng):
-        x = Tensor(np.ones(200_00))
-        out = dropout_mask(x, 0.3, rng).data
-        assert out.mean() == pytest.approx(1.0, abs=0.02)
-
-    def test_zeros_fraction(self, rng):
-        x = Tensor(np.ones(10000))
-        out = dropout_mask(x, 0.4, rng).data
-        assert (out == 0).mean() == pytest.approx(0.4, abs=0.03)
-
-    def test_grad_masked_like_forward(self, rng):
-        x = Tensor(np.ones(100), requires_grad=True)
-        out = dropout_mask(x, 0.5, rng)
-        out.sum().backward()
-        # surviving units pass scaled gradient, dropped units none
-        assert np.allclose(x.grad, out.data)
-
-    def test_invalid_p_raises(self, rng):
-        x = Tensor(np.ones(3))
-        with pytest.raises(ValueError):
-            dropout_mask(x, 1.0, rng)
-        with pytest.raises(ValueError):
-            dropout_mask(x, -0.1, rng)

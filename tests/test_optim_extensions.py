@@ -1,4 +1,4 @@
-"""LAMB and EMA weight averaging."""
+"""LAMB."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.nn import Parameter
-from repro.optim import LAMB, SGD, EMAWeights, SOLVERS
+from repro.optim import LAMB, SGD, SOLVERS
 
 
 class TestLAMB:
@@ -69,74 +69,3 @@ class TestLAMB:
         w.grad = np.zeros((3, 3))
         LAMB([("w", w)], lr=0.1, weight_decay=0.1).step()
         assert np.all(np.abs(w.data) < 2.0)
-
-
-class TestEMA:
-    def test_shadow_initialised_to_weights(self, rng):
-        p = Parameter(rng.standard_normal(4))
-        ema = EMAWeights([p], decay=0.9)
-        assert np.allclose(ema.shadow["param0"], p.data)
-
-    def test_update_moves_shadow_toward_weights(self, rng):
-        p = Parameter(np.zeros(3))
-        ema = EMAWeights([p], decay=0.9)
-        p.data[:] = 10.0
-        ema.update()
-        assert np.allclose(ema.shadow["param0"], 1.0)  # 0.9*0 + 0.1*10
-
-    def test_swap_is_involutive(self, rng):
-        p = Parameter(rng.standard_normal(5))
-        live = p.data.copy()
-        ema = EMAWeights([p], decay=0.5)
-        p.data[:] = 99.0
-        ema.swap_in()
-        assert np.allclose(p.data, live)  # shadow was the old weights
-        ema.swap_out()
-        assert np.allclose(p.data, 99.0)
-
-    def test_context_manager(self, rng):
-        p = Parameter(np.ones(2))
-        ema = EMAWeights([p], decay=0.5)
-        p.data[:] = 3.0
-        with ema:
-            assert np.allclose(p.data, 1.0)
-        assert np.allclose(p.data, 3.0)
-
-    def test_converges_to_stationary_weights(self, rng):
-        p = Parameter(np.zeros(2))
-        ema = EMAWeights([p], decay=0.5)
-        p.data[:] = 4.0
-        for _ in range(40):
-            ema.update()
-        assert np.allclose(ema.shadow["param0"], 4.0, atol=1e-6)
-
-    def test_misuse_raises(self, rng):
-        p = Parameter(np.ones(2))
-        ema = EMAWeights([p], decay=0.5)
-        with pytest.raises(RuntimeError):
-            ema.swap_out()
-        ema.swap_in()
-        with pytest.raises(RuntimeError):
-            ema.swap_in()
-        with pytest.raises(RuntimeError):
-            ema.update()
-
-    def test_validation(self, rng):
-        p = Parameter(np.ones(2))
-        with pytest.raises(ValueError):
-            EMAWeights([p], decay=1.0)
-        with pytest.raises(ValueError):
-            EMAWeights([], decay=0.5)
-
-    def test_ema_smooths_noisy_trajectory(self, rng):
-        """EMA of an oscillating iterate lands nearer the mean than the
-        final iterate does — the reason to evaluate the average."""
-        p = Parameter(np.zeros(1))
-        ema = EMAWeights([p], decay=0.95)
-        center = 1.0
-        for t in range(400):
-            p.data[0] = center + (0.5 if t % 2 == 0 else -0.5)
-            ema.update()
-        final_err = abs(p.data[0] - center)
-        ema_err = abs(ema.shadow["param0"][0] - center)
-        assert ema_err < final_err

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import assume, given, settings, strategies as st
 
@@ -54,15 +56,10 @@ def test_speedup_monotone_in_batch(t_fixed, t_sample, base, doublings):
 
 
 @settings(max_examples=40, deadline=None)
-@given(
-    st.integers(100, 100_000), st.integers(1, 512), st.integers(1, 5),
-    pos_float, pos_float,
-)
-def test_epoch_time_positive_and_scales_with_epochs(n, batch, epochs, tf, ts):
+@given(st.integers(100, 100_000), st.integers(1, 512), pos_float, pos_float)
+def test_epoch_time_positive_and_follows_iteration_law(n, batch, tf, ts):
     assume(batch <= n)
     model = DeviceModel(t_fixed=tf, t_sample=ts)
     one = epoch_time(model, n, batch)
     assert one > 0
-    from repro.parallel import training_time
-
-    assert np.isclose(training_time(model, n, batch, epochs=epochs), epochs * one)
+    assert np.isclose(one, math.ceil(n / batch) * model.iteration_time(batch))

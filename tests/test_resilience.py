@@ -10,7 +10,7 @@ import pytest
 from repro.data import BatchIterator, make_sequential_mnist
 from repro.models import MnistLSTMClassifier
 from repro.obs import Obs
-from repro.optim import LAMB, LARS, Adam, DynamicLossScaler, EMAWeights, Momentum
+from repro.optim import LAMB, LARS, Adam, DynamicLossScaler, Momentum
 from repro.parallel import LossFaultInjector
 from repro.schedules import ConstantLR
 from repro.train import RecoverySchedule, ResilientTrainer
@@ -60,15 +60,14 @@ class TestRecoverySchedule:
 
 
 def run_resilient(train, ckpt_dir, *, solver, epochs, resume=False,
-                  with_scaler=False, with_ema=False, injector=None,
+                  with_scaler=False, injector=None,
                   max_recoveries=2, obs=None):
     model = make_model()
     opt = solver(model, lr=0.05)
     scaler = DynamicLossScaler(initial_scale=8.0) if with_scaler else None
-    ema = EMAWeights(list(model.named_parameters()), decay=0.9) if with_ema else None
     trainer = ResilientTrainer(
         model, opt, ConstantLR(0.05), BatchIterator(train, 8, rng=1),
-        checkpoint_dir=ckpt_dir, loss_scaler=scaler, ema=ema,
+        checkpoint_dir=ckpt_dir, loss_scaler=scaler,
         fault_injector=injector, max_recoveries=max_recoveries, obs=obs,
     )
     result = trainer.run(epochs, resume=resume)
@@ -94,28 +93,24 @@ class TestBitExactResume:
         ):
             assert np.array_equal(a.data, b.data), name
 
-    def test_resume_covers_scaler_and_ema(self, tmp_path, mnist_small):
+    def test_resume_covers_scaler(self, tmp_path, mnist_small):
         straight, t_straight, _ = run_resilient(
             mnist_small, tmp_path / "a", solver=Adam, epochs=4,
-            with_scaler=True, with_ema=True,
+            with_scaler=True,
         )
         run_resilient(
             mnist_small, tmp_path / "b", solver=Adam, epochs=2,
-            with_scaler=True, with_ema=True,
+            with_scaler=True,
         )
         resumed, t_resumed, _ = run_resilient(
             mnist_small, tmp_path / "b", solver=Adam, epochs=4, resume=True,
-            with_scaler=True, with_ema=True,
+            with_scaler=True,
         )
         for (name, a), (_, b) in zip(
             straight.named_parameters(), resumed.named_parameters()
         ):
             assert np.array_equal(a.data, b.data), name
         assert t_resumed.loss_scaler.scale == t_straight.loss_scaler.scale
-        for (name, a), (_, b) in zip(
-            t_straight.ema.state_dict().items(), t_resumed.ema.state_dict().items()
-        ):
-            assert np.array_equal(a, b), name
 
 
 @pytest.mark.slow
@@ -188,10 +183,4 @@ class TestResilientTrainerValidation:
         batches = BatchIterator(mnist_small, 8, rng=1)
         with pytest.raises(ValueError):
             ResilientTrainer(model, opt, ConstantLR(0.1), batches,
-                             checkpoint_dir=tmp_path, checkpoint_every=0)
-        with pytest.raises(ValueError):
-            ResilientTrainer(model, opt, ConstantLR(0.1), batches,
                              checkpoint_dir=tmp_path, max_recoveries=-1)
-        with pytest.raises(ValueError):
-            ResilientTrainer(model, opt, ConstantLR(0.1), batches,
-                             checkpoint_dir=tmp_path, lr_backoff=0.0)

@@ -45,25 +45,5 @@ class TestGrowBatchSchedule:
         with pytest.raises(ValueError):
             GrowBatchSchedule(64, [1], max_batch=32)
 
-    def test_state_dict_roundtrip(self):
-        s = GrowBatchSchedule(16, [2, 4], factor=2.0, max_batch=128)
-        restored = GrowBatchSchedule(8, [1], factor=3.0)
-        restored.load_state_dict(s.state_dict())
-        assert restored.ladder(6) == s.ladder(6)
-        assert restored.max_batch == 128
-
-    def test_state_dict_roundtrips_uncapped(self):
-        restored = GrowBatchSchedule(4, [1], max_batch=8)
-        restored.load_state_dict(GrowBatchSchedule(8, [1]).state_dict())
-        assert restored.max_batch is None
-        assert restored.base_batch == 8
-
-    def test_load_state_dict_validates(self):
-        bad = GrowBatchSchedule(8, [1]).state_dict()
-        bad["max_batch"] = 2  # below the base batch
-        s = GrowBatchSchedule(8, [1])
-        with pytest.raises(ValueError):
-            s.load_state_dict(bad)
-
     def test_repr(self):
         assert "x2" in repr(GrowBatchSchedule(8, [1], factor=2.0))

@@ -11,7 +11,6 @@ from repro.schedules import (
     ConstantLR,
     ExponentialEpochDecay,
     GradualWarmup,
-    LambdaSchedule,
     LEGW,
     MultiStepDecay,
     PolynomialDecay,
@@ -58,13 +57,6 @@ class TestConstantAndLambda:
         with pytest.raises(ValueError):
             ConstantLR(0.1)(-1)
 
-    def test_lambda(self):
-        s = LambdaSchedule(lambda i: 1.0 / (i + 1))
-        assert s(0) == 1.0 and s(9) == pytest.approx(0.1)
-
-    def test_series_length(self):
-        assert len(ConstantLR(1.0).series(17)) == 17
-
 
 class TestMultiStep:
     def test_paper_milestones(self):
@@ -105,7 +97,7 @@ class TestExponentialEpochDecay:
 
     def test_monotone_nonincreasing(self):
         s = ExponentialEpochDecay(1.0, 2, 0.5, 10)
-        series = s.series(100)
+        series = [s(i) for i in range(100)]
         assert all(a >= b for a, b in zip(series, series[1:]))
 
     def test_invalid_decay_rate(self):
@@ -126,7 +118,7 @@ class TestPolynomialDecay:
 
     def test_monotone_decreasing(self):
         s = PolynomialDecay(1.0, 50, power=2.0)
-        series = s.series(50)
+        series = [s(i) for i in range(50)]
         assert all(a >= b for a, b in zip(series, series[1:]))
 
     def test_invalid_total(self):
@@ -154,7 +146,7 @@ class TestGradualWarmup:
 
     def test_monotone_during_warmup(self):
         s = GradualWarmup(ConstantLR(1.0), 50)
-        series = s.series(50)
+        series = [s(i) for i in range(50)]
         assert all(a < b for a, b in zip(series, series[1:]))
 
     def test_negative_warmup_rejected(self):
@@ -211,11 +203,10 @@ class TestLEGW:
 
     def test_describe_columns(self):
         s = LEGW(0.1, 128, 0.25, 512, steps_per_epoch=20)
-        d = s.describe()
-        assert d["batch"] == 512
-        assert d["peak_lr"] == pytest.approx(0.2)
-        assert d["warmup_epochs"] == pytest.approx(1.0)
-        assert d["warmup_iterations"] == 20
+        assert s.batch == 512
+        assert s.peak_lr == pytest.approx(0.2)
+        assert s.warmup_epochs == pytest.approx(1.0)
+        assert s.warmup_iterations == 20
 
     def test_helper_functions(self):
         assert legw_peak_lr(0.1, 128, 512) == pytest.approx(0.2)

@@ -10,7 +10,7 @@ import pytest
 from repro.data import ArrayDataset, BatchIterator
 from repro.nn import Linear
 from repro.optim import SGD, Momentum
-from repro.schedules import ConstantLR, GradualWarmup, LambdaSchedule
+from repro.schedules import ConstantLR, GradualWarmup, Schedule
 from repro.tensor import Tensor, cross_entropy
 from repro.train import GridTuner, Trainer, TrainResult
 
@@ -45,8 +45,13 @@ class TestTrainer:
         ds, model, loss_fn = make_linear_problem(rng)
         it = BatchIterator(ds, 16, rng=1)
         seen = []
-        sched = LambdaSchedule(lambda i: seen.append(i) or 0.1)
-        Trainer(loss_fn, SGD(model, lr=0.1), sched, it).run(2)
+
+        class Recording(Schedule):
+            def lr_at(self, iteration):
+                seen.append(iteration)
+                return 0.1
+
+        Trainer(loss_fn, SGD(model, lr=0.1), Recording(), it).run(2)
         assert seen == list(range(2 * it.steps_per_epoch))
 
     def test_lr_series_matches_schedule(self, rng):
@@ -110,7 +115,7 @@ class TestTrainer:
         result = Trainer(
             loss_fn, SGD(model, lr=0.1), ConstantLR(0.1), it, grad_clip=0.01
         ).run(1)
-        assert "grad_norm" in result.log
+        assert result.log.values("grad_norm")
         assert all(v >= 0 for v in result.log.values("grad_norm"))
 
     def test_metric_accessor_default(self):
@@ -164,7 +169,7 @@ class TestTrainer:
         ).run(10, log_every=1000)  # stride would skip the diverged point
         assert result.diverged
         assert result.log.steps("loss") == result.log.steps("lr")
-        assert not math.isfinite(result.log.last("loss"))
+        assert not math.isfinite(result.log.values("loss")[-1])
 
 
 class TestGridTuner:

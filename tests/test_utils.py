@@ -5,15 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.utils import (
-    RunLog,
-    Table,
-    Timer,
-    as_generator,
-    format_series,
-    seed_everything,
-    spawn,
-)
+from repro.utils import RunLog, Table, as_generator, spawn
 
 
 class TestRng:
@@ -37,10 +29,6 @@ class TestRng:
         more = spawn(3, 5)
         assert first[0].random() == more[0].random()
         assert first[1].random() == more[1].random()
-
-    def test_seed_everything_returns_generator(self):
-        g = seed_everything(11)
-        assert isinstance(g, np.random.Generator)
 
 
 class TestTable:
@@ -68,14 +56,6 @@ class TestTable:
         rendered = t.render()
         assert "1.23e+05" in rendered and "4e-06" in rendered
 
-    def test_format_series(self):
-        out = format_series("s", [1, 2], [0.5, 0.25])
-        assert "series: s" in out and "0.25" in out
-
-    def test_format_series_length_check(self):
-        with pytest.raises(ValueError):
-            format_series("s", [1], [1, 2])
-
 
 class TestRunLog:
     def test_record_and_read(self):
@@ -84,81 +64,3 @@ class TestRunLog:
         log.record("loss", 1, 0.5)
         assert log.steps("loss") == [0, 1]
         assert log.values("loss") == [1.0, 0.5]
-        assert log.last("loss") == 0.5
-
-    def test_last_default(self):
-        assert RunLog().last("missing", 7.0) == 7.0
-
-    def test_best_modes(self):
-        log = RunLog()
-        for i, v in enumerate([3.0, 1.0, 2.0]):
-            log.record("m", i, v)
-        assert log.best("m", "max") == 3.0
-        assert log.best("m", "min") == 1.0
-
-    def test_best_missing_raises(self):
-        with pytest.raises(KeyError):
-            RunLog().best("m")
-
-    def test_contains(self):
-        log = RunLog()
-        assert "x" not in log
-        log.record("x", 0, 1.0)
-        assert "x" in log
-
-    def test_to_csv_roundtrip(self):
-        log = RunLog()
-        log.record("loss", 0, 1.5)
-        log.record("loss", 1, 0.25)
-        csv = log.to_csv("loss")
-        lines = csv.strip().splitlines()
-        assert lines[0] == "step,value"
-        assert lines[1].startswith("0,") and float(lines[1].split(",")[1]) == 1.5
-
-    def test_to_csv_missing_raises(self):
-        with pytest.raises(KeyError):
-            RunLog().to_csv("nope")
-
-    def test_jsonl_roundtrip_preserves_series_and_meta(self):
-        log = RunLog()
-        log.meta["workload"] = "mnist"
-        log.meta["batch"] = 64
-        log.record("loss", 0, 1.5)
-        log.record("loss", 3, 0.25)
-        log.record("eval_accuracy", 0, 0.9)
-        back = RunLog.from_jsonl(log.to_jsonl())
-        assert back.meta == {"workload": "mnist", "batch": 64}
-        assert back.series["loss"] == [(0, 1.5), (3, 0.25)]
-        assert back.series["eval_accuracy"] == [(0, 0.9)]
-
-    def test_jsonl_roundtrip_nonfinite_values(self):
-        import math
-
-        log = RunLog()
-        log.record("loss", 0, float("nan"))
-        log.record("loss", 1, float("inf"))
-        back = RunLog.from_jsonl(log.to_jsonl())
-        assert math.isnan(back.values("loss")[0])
-        assert math.isinf(back.values("loss")[1])
-
-    def test_jsonl_empty_log(self):
-        back = RunLog.from_jsonl(RunLog().to_jsonl())
-        assert back.meta == {} and not back.series
-
-    def test_jsonl_unknown_kind_raises(self):
-        with pytest.raises(ValueError):
-            RunLog.from_jsonl('{"kind": "mystery"}')
-
-    def test_jsonl_file_roundtrip(self, tmp_path):
-        log = RunLog()
-        log.record("lr", 2, 0.1)
-        path = tmp_path / "run.jsonl"
-        log.save_jsonl(str(path))
-        assert RunLog.load_jsonl(str(path)).series["lr"] == [(2, 0.1)]
-
-
-class TestTimer:
-    def test_measures_nonnegative(self):
-        with Timer() as t:
-            sum(range(1000))
-        assert t.elapsed >= 0.0
