@@ -102,7 +102,7 @@ def part3_overlap() -> None:
     backward = APP_DEVICE_MODELS["gnmt"].iteration_time(256) * BACKWARD_FRACTION
     comm = CommModel()
     for mb in (1.0, 25.0, None):
-        plan = GradientBuckets(params, bucket_mb=mb or 1e9)
+        plan = GradientBuckets(params, bucket_mb=mb)
         tl = plan.simulate_overlap(16, backward, algorithm="ring", comm=comm)
         label = "monolithic" if mb is None else f"{mb:4.0f} MiB buckets"
         print(

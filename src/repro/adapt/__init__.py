@@ -13,12 +13,9 @@ trajectory bit-exactly.
 """
 
 from repro.adapt.controller import BatchSizeController
-from repro.adapt.estimator import (
-    OnlineNoiseScale,
-    probe_batch_fn,
-    two_batch_elimination,
-)
+from repro.adapt.estimator import OnlineNoiseScale, probe_batch_fn
 from repro.adapt.trainer import AdaptiveBatchTrainer, AdaptiveLRSchedule
+from repro.analysis.noise_scale import two_batch_elimination
 
 __all__ = [
     "AdaptiveBatchTrainer",

@@ -35,29 +35,10 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.analysis.noise_scale import _grad_sq_norm
+from repro.analysis.noise_scale import _grad_sq_norm, two_batch_elimination
 from repro.parallel.cluster import NoiseTap
 
 _EPS = 1e-12
-
-
-def two_batch_elimination(
-    small_sq: float, b_small: float, big_sq: float, b_big: float
-) -> tuple[float, float]:
-    """Unbiased ``(tr(Σ), ‖G‖²)`` from one (small, big) squared-norm pair.
-
-    The same algebra as :func:`repro.analysis.estimate_noise_scale`, split
-    out so the online and offline paths provably share the estimator.
-    Unlike the offline path, the raw per-step values are *not* clamped —
-    the EMA wants unbiased (occasionally negative) samples; clamping
-    happens at read time.
-    """
-    if not 0 < b_small < b_big:
-        raise ValueError("need 0 < b_small < b_big")
-    inv_diff = 1.0 / b_small - 1.0 / b_big
-    trace_sigma = (small_sq - big_sq) / inv_diff
-    g_sq = (b_big * big_sq - b_small * small_sq) / (b_big - b_small)
-    return trace_sigma, g_sq
 
 
 class OnlineNoiseScale:

@@ -61,6 +61,25 @@ def _grad_sq_norm(
             p.grad = g
 
 
+def two_batch_elimination(
+    small_sq: float, b_small: float, big_sq: float, b_big: float
+) -> tuple[float, float]:
+    """Unbiased ``(tr(Σ), ‖G‖²)`` from one (small, big) squared-norm pair.
+
+    The one copy of the algebra above: :func:`estimate_noise_scale` and
+    the online estimator (:class:`repro.adapt.OnlineNoiseScale`) both
+    call it.  The raw values are *not* clamped — the online EMA wants
+    unbiased (occasionally negative) samples; each caller clamps where
+    it reads.
+    """
+    if not 0 < b_small < b_big:
+        raise ValueError("need 0 < b_small < b_big")
+    inv_diff = 1.0 / b_small - 1.0 / b_big
+    trace_sigma = (small_sq - big_sq) / inv_diff
+    g_sq = (b_big * big_sq - b_small * small_sq) / (b_big - b_small)
+    return trace_sigma, g_sq
+
+
 @dataclass
 class NoiseScaleEstimate:
     """Output of :func:`estimate_noise_scale`."""
@@ -110,9 +129,9 @@ def estimate_noise_scale(
     big_sq = np.mean(
         [_grad_sq_norm(loss_fn, make_batch(b_big, gen), params) for _ in range(n_pairs)]
     )
-    inv_diff = 1.0 / b_small - 1.0 / b_big
-    trace_sigma = max(0.0, (small_sq - big_sq) / inv_diff)
-    g_sq = max(1e-12, (b_big * big_sq - b_small * small_sq) / (b_big - b_small))
+    trace_sigma, g_sq = two_batch_elimination(small_sq, b_small, big_sq, b_big)
+    trace_sigma = max(0.0, trace_sigma)
+    g_sq = max(1e-12, g_sq)
     return NoiseScaleEstimate(
         noise_scale=trace_sigma / g_sq,
         grad_sq_norm=g_sq,

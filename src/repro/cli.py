@@ -42,8 +42,11 @@ the bucketed all-reduce, ``--parallel-backend`` chooses between the
 in-process simulation (``sim``, the default) and real OS worker
 processes with cross-process telemetry (``mp``), ``--allreduce-algo``
 picks the schedule (ring/tree/naive), ``--bucket-mb`` sizes the
-gradient buckets (``0`` for the monolithic baseline) and ``--wire-dtype``
-/ ``--stochastic-rounding`` compress them on the wire.
+gradient buckets (``0`` reduces one bucket, the monolithic baseline) and
+``--wire-dtype`` / ``--stochastic-rounding`` compress them on the wire.
+Both backends reduce, gate and install through one shared step, so a
+non-finite loss or reduction ends the step as a fault for the trainer's
+policy (stop, or roll back under ``--checkpoint-dir``) on either.
 
 ``train`` additionally accepts the resilience flags (docs/resilience.md):
 ``--checkpoint-dir DIR`` switches to fault-tolerant training with
@@ -70,9 +73,8 @@ non-LEGW ``--schedule``; the adaptive tuning flags without
 ``--adaptive-batch``; ``--noise-every`` or ``--workers`` below 1; the
 wire flags without ``--workers``; ``--stochastic-rounding`` without
 ``--wire-dtype fp16`` or with ``--checkpoint-dir`` (its rounding stream
-is not checkpointed); ``--wire-dtype`` with ``--bucket-mb 0``; and
-``--amp`` with ``--workers`` (compress the wire instead; unset amp is
-off there).
+is not checkpointed); and ``--amp`` with ``--workers`` (compress the
+wire instead; unset amp is off there).
 """
 
 from __future__ import annotations
@@ -266,7 +268,7 @@ def _build_parser() -> argparse.ArgumentParser:
     par.add_argument(
         "--bucket-mb", type=float, default=DEFAULT_BUCKET_MB, metavar="MB",
         help=f"gradient bucket capacity in MiB (default {DEFAULT_BUCKET_MB}; "
-             "0 selects the monolithic single-buffer reduction)",
+             "0 reduces one bucket per dtype, the monolithic baseline)",
     )
     par.add_argument(
         "--wire-dtype", default=None, choices=("fp32", "fp16", "bf16"),

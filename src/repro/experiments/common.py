@@ -123,8 +123,6 @@ class TrainConfig:
              "wire_dtype and stochastic_rounding require workers"),
             (self.stochastic_rounding and self.wire_dtype != "fp16",
              "stochastic_rounding requires wire_dtype fp16"),
-            (self.wire_dtype is not None and self.bucket_mb is None,
-             "wire_dtype requires the bucketed reduction (bucket_mb > 0)"),
             (self.stochastic_rounding and ckpt,
              "stochastic_rounding with checkpoint_dir: the wire's rounding "
              "stream is not checkpointed, so rollback and resume would drift"),
@@ -317,10 +315,9 @@ class Workload:
                 cluster.close()
         if cluster is not None:
             result.final_metrics.setdefault("workers", float(cfg.workers))
-            timeline = getattr(cluster, "last_timeline", None)
-            if timeline is not None:
+            if cluster.last_timeline is not None:
                 result.final_metrics.setdefault(
-                    "overlap_fraction", timeline.overlap_fraction
+                    "overlap_fraction", cluster.last_timeline.overlap_fraction
                 )
         return result
 

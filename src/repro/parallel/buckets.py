@@ -11,10 +11,11 @@ design offline:
   ~``bucket_mb`` MiB flat buckets in **reverse registration order** (the
   order backward completes them: the last-registered parameters get their
   gradients first), dtype-homogeneous per bucket so an fp32 gradient never
-  silently travels as fp64.  ``pack``/``unpack`` move per-parameter
-  gradients into and out of the flat buffers (zero-copy views where a
-  bucket holds a single contiguous parameter), and ``reduce_packed``
-  reduces bucket-by-bucket through the
+  silently travels as fp64 (``bucket_mb=None`` sets no cap, so a
+  one-dtype model reduces as one bucket).  ``pack``/``unpack`` move
+  per-parameter gradients into and out of the flat buffers (zero-copy
+  views where a bucket holds a single contiguous parameter), and
+  ``reduce_packed`` reduces bucket-by-bucket through the
   :mod:`~repro.parallel.allreduce` schedules, freeing each worker's bucket
   buffer as soon as it is consumed — so the reduction's transient working
   set is bounded by the *largest bucket*, not the whole model.
@@ -45,6 +46,11 @@ counters see the 4-byte container.  ``stochastic_rounding=True`` rounds
 the fp16 wire stochastically (unbiased) instead of to-nearest — the
 ablation knob.
 
+Each data-parallel cluster plans one ``GradientBuckets`` and calls
+``pack`` and ``reduce_packed`` from the one step both clusters share
+(:class:`~repro.parallel.cluster.SyncCluster`), so the wire's rounding
+stream runs on across a cluster's steps.
+
 When a metrics registry is active, ``reduce_packed`` increments
 ``parallel/buckets/reduced`` / ``parallel/buckets/bytes`` counters (the
 latter in wire bytes) and :meth:`OverlapTimeline.record` sets the
@@ -54,6 +60,7 @@ counter contract.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -133,7 +140,9 @@ class GradientBuckets:
     bucket_mb:
         Target bucket capacity in MiB.  A single parameter larger than the
         cap still gets its own bucket (buckets never split a parameter);
-        parameters of different dtypes never share a bucket.
+        parameters of different dtypes never share a bucket.  ``None``
+        puts no cap on a bucket: a new one starts only where the dtype
+        changes, so a one-dtype model reduces as one bucket.
     wire_dtype:
         ``None`` (ship buckets in their own dtype), ``"fp32"``,
         ``"fp16"`` or ``"bf16"`` — compress each bucket to this format
@@ -150,15 +159,15 @@ class GradientBuckets:
     def __init__(
         self,
         params: Sequence,
-        bucket_mb: float = DEFAULT_BUCKET_MB,
+        bucket_mb: float | None = DEFAULT_BUCKET_MB,
         *,
         wire_dtype: str | None = None,
         stochastic_rounding: bool = False,
         names: Sequence[str] | None = None,
         seed: int = 0,
     ):
-        if bucket_mb <= 0:
-            raise ValueError("bucket_mb must be positive")
+        if bucket_mb is not None and bucket_mb <= 0:
+            raise ValueError("bucket_mb must be positive (or None)")
         if wire_dtype not in WIRE_DTYPES:
             raise ValueError(
                 f"wire_dtype must be one of {WIRE_DTYPES}, got {wire_dtype!r}"
@@ -168,7 +177,7 @@ class GradientBuckets:
         specs = [_param_spec(p) for p in params]
         if not specs:
             raise ValueError("need at least one parameter to bucket")
-        self.bucket_mb = float(bucket_mb)
+        self.bucket_mb = None if bucket_mb is None else float(bucket_mb)
         self.wire_dtype = wire_dtype
         self.stochastic_rounding = bool(stochastic_rounding)
         self._wire_rng = np.random.default_rng(seed)
@@ -176,7 +185,7 @@ class GradientBuckets:
         if self.names is not None and len(self.names) != len(specs):
             raise ValueError("names must align with params")
         self.n_params = len(specs)
-        cap_bytes = bucket_mb * 2**20
+        cap_bytes = math.inf if bucket_mb is None else bucket_mb * 2**20
 
         # reverse registration order == backward-completion order: the
         # gradients of the last-registered parameters are produced first,

@@ -1,9 +1,14 @@
-"""Simulated data-parallel cluster.
+"""Synchronous data-parallel clusters: the shared step and ``SimCluster``.
 
-``SimCluster`` executes one *logical* large-batch SGD step the way a
+A cluster executes one *logical* large-batch SGD step the way a
 ``p``-worker synchronous data-parallel system would: shard the global
 batch, compute each worker's gradient with the real autograd engine,
-average via a simulated all-reduce, and apply one optimizer update.
+average via an all-reduce, and leave the mean installed for one
+optimizer update.  ``SimCluster`` computes the shard gradients
+in-process; :class:`~repro.parallel.mp.MultiprocessCluster` computes
+them on persistent worker processes.  Everything after that — the
+parent's side of the step — is written once, in :class:`SyncCluster`,
+and both clusters run it.
 
 The key invariant (verified by the test suite) is the one all large-batch
 scaling arguments rest on: because the loss is a per-example mean, the
@@ -12,24 +17,30 @@ of the full batch — so LEGW experiments run single-process are *exact*
 simulations of the distributed runs in the paper.
 
 Gradient aggregation goes through :class:`~repro.parallel.buckets.
-GradientBuckets` by default: per-worker gradients are packed into
-~``bucket_mb`` MiB dtype-true buckets (reverse-registration order, the
-order backward completes them) and reduced bucket-by-bucket, which bounds
-the reduction's transient memory by the largest bucket instead of the
-whole model and lets the overlap timeline hide communication under
-backward compute.  Pass ``bucket_mb=None`` for the legacy monolithic
-single-buffer reduction (the ablation baseline).
+GradientBuckets`, planned once per cluster: per-worker gradients are
+packed into ~``bucket_mb`` MiB dtype-true buckets (reverse-registration
+order, the order backward completes them) and reduced bucket-by-bucket,
+which bounds the reduction's transient memory by the largest bucket
+instead of the whole model and lets the overlap timeline hide
+communication under backward compute.  ``bucket_mb=None`` reduces one
+bucket per dtype (the monolithic ablation baseline).
+
+A reduced gradient that is not finite (an overflowed fp16 wire, a
+diverging model) is never installed: the step clears every
+``param.grad``, counts ``parallel/faults_detected`` and reports its loss
+as observed when that loss is non-finite, NaN otherwise, so the
+trainer's own fault policy stops or rolls back at that step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
 from repro.obs.metrics import get_active
-from repro.parallel.allreduce import allreduce_mean_single
 from repro.parallel.buckets import (
     BACKWARD_FRACTION,
     DEFAULT_BUCKET_MB,
@@ -133,7 +144,152 @@ def installing_loss_fn(step: Callable[[object], float]) -> Callable[[object], ob
     return loss_fn
 
 
-class SimCluster:
+class SyncCluster:
+    """The parent's side of a synchronous data-parallel step.
+
+    Both clusters subclass this and differ only in where each shard's
+    gradient is computed.  :meth:`_reduce_step` weights each shard by its
+    size, scales and packs its gradient, reduces the buckets, gates,
+    installs, records the noise tap and the overlap timeline, and returns
+    the mean loss.
+
+    Parameters
+    ----------
+    n_workers:
+        Worker count.  A batch smaller than ``n_workers`` (the remainder
+        batch of a ``drop_last=False`` epoch) runs on ``min(n, batch)``
+        active workers; the rest sit the step out.
+    algorithm:
+        All-reduce flavour (``ring``/``tree``/``naive``).
+    bucket_mb:
+        Gradient bucket capacity in MiB (default
+        :data:`~repro.parallel.buckets.DEFAULT_BUCKET_MB`); ``None``
+        reduces one bucket per dtype.
+    comm, device:
+        α-β link and device models for the simulated overlap timeline
+        (defaults: :class:`CommModel()` and a pure per-sample device).
+    wire_dtype, stochastic_rounding:
+        Wire compression for the reduction — see
+        :class:`~repro.parallel.buckets.GradientBuckets`.  The rounding
+        stream runs on across the cluster's steps.
+    """
+
+    def __init__(
+        self,
+        n_workers: int,
+        algorithm: str = "ring",
+        bucket_mb: float | None = DEFAULT_BUCKET_MB,
+        comm: CommModel | None = None,
+        device: DeviceModel | None = None,
+        wire_dtype: str | None = None,
+        stochastic_rounding: bool = False,
+    ) -> None:
+        if n_workers < 1:
+            raise ValueError("n_workers must be >= 1")
+        self.n_workers = n_workers
+        self.algorithm = algorithm
+        self.bucket_mb = bucket_mb
+        self.wire_dtype = wire_dtype
+        self.stochastic_rounding = bool(stochastic_rounding)
+        self.comm = comm or CommModel()
+        self.device = device or DeviceModel(t_fixed=0.0, t_sample=1.0)
+        self.buckets: GradientBuckets | None = None  # see _plan
+        self.faults_detected = 0
+        self.last_timeline: OverlapTimeline | None = None
+        # opt-in shard-gradient statistics for the online noise-scale
+        # estimator (repro.adapt); off by default so the plain training
+        # path never pays the extra squared-norm reductions
+        self.noise_tap = False
+        self.last_noise_tap: NoiseTap | None = None
+
+    def _plan(self, params: Sequence, names: Sequence[str] | None = None) -> None:
+        """Plan the buckets, once per cluster."""
+        self.buckets = GradientBuckets(
+            params,
+            bucket_mb=self.bucket_mb,
+            wire_dtype=self.wire_dtype,
+            stochastic_rounding=self.stochastic_rounding,
+            names=names,
+        )
+
+    def _record_fault(self) -> None:
+        self.faults_detected += 1
+        reg = get_active()
+        if reg is not None:
+            reg.counter("parallel/faults_detected").inc()
+
+    def _reduce_step(
+        self,
+        params: Sequence[Tensor],
+        sizes: np.ndarray,
+        shard_grads: Iterable[tuple[float, Sequence[np.ndarray]]],
+    ) -> tuple[float, list[np.ndarray]]:
+        """Reduce the shards' gradients into ``params`` and return the loss.
+
+        ``shard_grads`` yields each active shard's ``(loss, gradients)``,
+        the gradients aligned with ``params``; it is consumed one shard at
+        a time, so a lazy producer finishes each shard before computing
+        the next, and only the previous shard's scaled gradients stay
+        alive meanwhile.  Returns ``(mean loss, reduced gradients)``; a
+        non-finite reduction is returned but never installed.
+        """
+        weights = sizes / sizes.sum()
+        n_active = len(sizes)
+        losses: list[float] = []
+        shard_sq: list[float] = []
+        packed: list[list[np.ndarray]] = []
+        for (loss, grads), w in zip(shard_grads, weights):
+            # weight by shard fraction so uneven shards still average
+            # to the exact full-batch gradient of a mean loss
+            scale = w * n_active
+            grads = [
+                np.asarray(g * scale, dtype=p.data.dtype).reshape(p.data.shape)
+                for p, g in zip(params, grads)
+            ]
+            if self.noise_tap:
+                # squared norm of the shard's *unscaled* mean-loss gradient
+                sq = sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads)
+                shard_sq.append(sq / (scale * scale) if scale else 0.0)
+            packed.append(self.buckets.pack(grads))
+            losses.append(loss)
+        reduced = self.buckets.reduce_packed(packed, algorithm=self.algorithm)
+        mean_loss = float(np.dot(weights, losses))
+        if not all(np.isfinite(g).all() for g in reduced):
+            # never installed; the trainer's fault policy takes the step,
+            # with the loss as observed when it is itself non-finite
+            for p in params:
+                p.grad = None
+            self._record_fault()
+            if math.isfinite(mean_loss):
+                mean_loss = math.nan
+            return mean_loss, reduced
+        for p, g in zip(params, reduced):
+            p.grad = g
+        if self.noise_tap:
+            self.last_noise_tap = NoiseTap(
+                shard_sizes=[int(b) for b in sizes],
+                shard_sq_norms=shard_sq,
+                big_size=int(sizes.sum()),
+                big_sq_norm=float(sum(float(np.sum(g * g)) for g in reduced)),
+            )
+        reg = get_active()
+        if reg is not None:  # keep the uninstrumented path allocation-free
+            self.last_timeline = self.simulate_step(int(sizes.max()))
+            self.last_timeline.record(reg)
+        return mean_loss, reduced
+
+    def simulate_step(self, shard_batch_size: int) -> OverlapTimeline:
+        """The α-β/device-model timeline of one step at this shard size."""
+        backward = (
+            self.device.iteration_time(max(1, shard_batch_size))
+            * BACKWARD_FRACTION
+        )
+        return self.buckets.simulate_overlap(
+            self.n_workers, backward, algorithm=self.algorithm, comm=self.comm
+        )
+
+
+class SimCluster(SyncCluster):
     """Synchronous data-parallel executor over the real autograd model.
 
     Parameters
@@ -144,21 +300,8 @@ class SimCluster:
     loss_fn:
         ``loss_fn(shard_batch) -> Tensor`` computing a *mean* loss over the
         shard.
-    n_workers:
-        Simulated worker count.
-    algorithm:
-        All-reduce flavour (``ring``/``tree``/``naive``).
-    bucket_mb:
-        Gradient bucket capacity in MiB (default
-        :data:`~repro.parallel.buckets.DEFAULT_BUCKET_MB`); ``None``
-        selects the monolithic single-buffer reduction.
-    comm, device:
-        α-β link and device models for the simulated overlap timeline
-        (defaults: :class:`CommModel()` and a pure per-sample device).
-    wire_dtype, stochastic_rounding:
-        Wire compression for the bucketed reduction — see
-        :class:`~repro.parallel.buckets.GradientBuckets`.  Requires the
-        bucketed path (``bucket_mb`` not ``None``).
+
+    The other parameters are :class:`SyncCluster`'s.
     """
 
     def __init__(
@@ -173,54 +316,28 @@ class SimCluster:
         wire_dtype: str | None = None,
         stochastic_rounding: bool = False,
     ) -> None:
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
-        if wire_dtype is not None and bucket_mb is None:
-            raise ValueError(
-                "wire_dtype compression requires the bucketed path "
-                "(bucket_mb must not be None)"
-            )
+        super().__init__(
+            n_workers, algorithm, bucket_mb, comm, device, wire_dtype,
+            stochastic_rounding,
+        )
         self.params = list(params)
         self.loss_fn = loss_fn
-        self.n_workers = n_workers
-        self.algorithm = algorithm
-        self.wire_dtype = wire_dtype
-        self.buckets = (
-            GradientBuckets(
-                self.params,
-                bucket_mb=bucket_mb,
-                wire_dtype=wire_dtype,
-                stochastic_rounding=stochastic_rounding,
-            )
-            if bucket_mb is not None
-            else None
-        )
-        self.comm = comm or CommModel()
-        self.device = device or DeviceModel(t_fixed=0.0, t_sample=1.0)
-        self.last_timeline: OverlapTimeline | None = None
-        # opt-in shard-gradient statistics for the online noise-scale
-        # estimator (repro.adapt); off by default so the plain training
-        # path never pays the extra squared-norm reductions
-        self.noise_tap = False
-        self.last_noise_tap: NoiseTap | None = None
+        self._plan(self.params)
 
-    # -- gradient computation ----------------------------------------------
+    def _shard_grad(self, shard) -> tuple[float, list[np.ndarray]]:
+        """One worker's loss and per-parameter gradients.
 
-    def _worker_grads(
-        self, shard, scale: float
-    ) -> tuple[list[np.ndarray], float]:
-        """One worker's per-parameter gradients, scaled and dtype-true."""
+        A plain call, so the shard's graph is freed on return, before
+        the next shard's forward.
+        """
         for p in self.params:
             p.grad = None
         loss = self.loss_fn(shard)
         loss.backward()
-        grads = []
-        for p in self.params:
-            g = p.grad if p.grad is not None else np.zeros_like(p.data)
-            grads.append(
-                np.asarray(g * scale, dtype=p.data.dtype).reshape(p.data.shape)
-            )
-        return grads, float(loss.data)
+        return float(loss.data), [
+            p.grad if p.grad is not None else np.zeros_like(p.data)
+            for p in self.params
+        ]
 
     def gradient_step(
         self, batch_arrays: Sequence[np.ndarray]
@@ -230,90 +347,14 @@ class SimCluster:
         Returns ``(weighted mean loss, per-param gradient list)`` and
         leaves the averaged gradients installed in ``param.grad`` so any
         :class:`repro.optim.Optimizer` can apply the update.  Gradient
-        dtype follows ``param.data.dtype`` end-to-end.
+        dtype follows ``param.data.dtype`` end-to-end.  A non-finite
+        reduction is returned but not installed (see :class:`SyncCluster`).
         """
         shards = shard_batch(batch_arrays, self.n_workers)
-        n_active = len(shards)  # < n_workers on a remainder batch
-        shard_sizes = np.array([len(s[0]) for s in shards], dtype=np.float64)
-        weights = shard_sizes / shard_sizes.sum()
-        losses: list[float] = []
-        shard_sq: list[float] = []
-        if self.buckets is not None:
-            worker_buckets: list[list[np.ndarray]] = []
-            for shard, w in zip(shards, weights):
-                # weight by shard fraction so uneven shards still average
-                # to the exact full-batch gradient of a mean loss
-                scale = w * n_active
-                grads, loss = self._worker_grads(shard, scale)
-                if self.noise_tap:
-                    shard_sq.append(self._raw_sq_norm(grads, scale))
-                worker_buckets.append(self.buckets.pack(grads))
-                losses.append(loss)
-            reduced = self.buckets.reduce_packed(
-                worker_buckets, algorithm=self.algorithm
-            )
-        else:
-            flat_grads: list[np.ndarray] = []
-            for shard, w in zip(shards, weights):
-                scale = w * n_active
-                grads, loss = self._worker_grads(shard, scale)
-                if self.noise_tap:
-                    shard_sq.append(self._raw_sq_norm(grads, scale))
-                flat_grads.append(
-                    np.concatenate([g.reshape(-1) for g in grads])
-                )
-                losses.append(loss)
-            flat = allreduce_mean_single(flat_grads, algorithm=self.algorithm)
-            reduced = []
-            offset = 0
-            for p in self.params:
-                size = p.data.size
-                reduced.append(
-                    flat[offset : offset + size].reshape(p.data.shape)
-                )
-                offset += size
-        out: list[np.ndarray] = []
-        for p, g in zip(self.params, reduced):
-            p.grad = g
-            out.append(p.grad)
-        if self.noise_tap:
-            self.last_noise_tap = NoiseTap(
-                shard_sizes=[int(b) for b in shard_sizes],
-                shard_sq_norms=shard_sq,
-                big_size=int(shard_sizes.sum()),
-                big_sq_norm=float(
-                    sum(float(np.sum(g * g)) for g in reduced)
-                ),
-            )
-        self._record_timeline(int(shard_sizes.max()))
-        mean_loss = float(np.dot(weights, losses))
-        return mean_loss, out
-
-    @staticmethod
-    def _raw_sq_norm(grads: Sequence[np.ndarray], scale: float) -> float:
-        """Squared norm of a worker's *unscaled* mean-loss gradient."""
-        total = sum(float(np.sum(g.astype(np.float64) ** 2)) for g in grads)
-        return total / (scale * scale) if scale else 0.0
-
-    # -- the simulated overlap timeline -------------------------------------
-
-    def simulate_step(self, shard_batch_size: int) -> OverlapTimeline:
-        """The α-β/device-model timeline of one step at this shard size."""
-        buckets = self.buckets or GradientBuckets(self.params, bucket_mb=1e9)
-        backward = (
-            self.device.iteration_time(max(1, shard_batch_size))
-            * BACKWARD_FRACTION
+        sizes = np.array([len(s[0]) for s in shards], dtype=np.float64)
+        return self._reduce_step(
+            self.params, sizes, map(self._shard_grad, shards)
         )
-        return buckets.simulate_overlap(
-            self.n_workers, backward, algorithm=self.algorithm, comm=self.comm
-        )
-
-    def _record_timeline(self, shard_batch_size: int) -> None:
-        reg = get_active()
-        if reg is None:
-            return  # keep the uninstrumented path allocation-free
-        self.last_timeline = self.simulate_step(shard_batch_size)
-        self.last_timeline.record(reg)
 
     # -- Trainer integration -----------------------------------------------
 

@@ -16,7 +16,8 @@ Two injectors cover the fault model:
   :class:`~repro.parallel.mp.MultiprocessCluster`: hard crashes
   (:class:`WorkerCrashError`), stragglers (sleep long enough to trip the
   per-shard timeout, or just to exercise slow-path tolerance), and
-  NaN-poisoned gradients (tripping the non-finite sanity gate);
+  NaN-poisoned gradients behind a finite loss (a worker fault the
+  cluster retries);
 * :class:`LossFaultInjector` — trainer-level NaN-poisoned losses, the
   divergence stand-in that drives
   :class:`~repro.train.resilience.ResilientTrainer`'s rollback path.

@@ -14,30 +14,30 @@ state per shard per step.  Each step:
    shard plus the delta it is missing;
 2. each worker applies the delta to its cached replica and computes its
    shard's gradient with the real autograd engine;
-3. the parent packs the shard-weighted gradients into
-   :class:`~repro.parallel.buckets.GradientBuckets` and reduces them
-   bucket-by-bucket through the *same*
-   :func:`~repro.parallel.allreduce.allreduce_mean_single` schedules the
-   simulated cluster uses — so the documented ``allreduce/<algo>/*``
-   counters fire on this path too, and the same equivalence theorem
-   applies and is tested.
+3. the parent reduces the gradients through the same step
+   :class:`~repro.parallel.cluster.SimCluster` runs
+   (:class:`~repro.parallel.cluster.SyncCluster`): the same weighting,
+   buckets, all-reduce schedules, gate, noise tap and overlap timeline,
+   so the documented ``allreduce/<algo>/*`` counters fire on this path
+   too and the same equivalence theorem applies and is tested.
 
 Fault tolerance: every worker has its own request/response queue pair, so
 a crashed or hung worker surfaces as a per-shard timeout instead of a
-deadlock.  A faulted shard is re-submitted to the least-loaded *other*
-worker under a bounded retry budget with exponential backoff; when the
-budget is exhausted the step fails loudly with
-:class:`~repro.parallel.faults.WorkerFaultError`.  A returned shard whose
-loss or gradients are non-finite counts as a fault too, and a final
-sanity gate re-checks the *reduced* gradient before it is installed — a
-poisoned reduction can never reach the optimizer.  A worker process that
-died outright is respawned on next submit (its replica cache is gone, so
-it receives the full parameter state again).
+deadlock.  A *worker fault* — an error, a timeout, or a finite loss with
+non-finite gradients (what :class:`~repro.parallel.faults.FaultSpec`'s
+nan injection produces) — re-submits the shard to the least-loaded
+*other* worker under a bounded retry budget with exponential backoff;
+when the budget is exhausted the step fails loudly with
+:class:`~repro.parallel.faults.WorkerFaultError`.  A non-finite *loss*
+is not a worker fault: every worker computes the same one from the same
+parameters and shard, so it goes into the reduction, whose gate hands it
+to the trainer exactly as on ``SimCluster``.  A worker process that died
+outright is respawned on next submit (its replica cache is gone, so it
+receives the full parameter state again).
 
 Every detected fault and retry increments ``parallel/faults_detected`` /
 ``parallel/retries`` on the active metrics registry (see ``repro.obs``),
-as well as the cluster's own counters; the bucketed reduction also
-records the ``parallel/overlap/*`` timeline gauges.
+as well as the cluster's own counters.
 
 Telemetry (``telemetry=True``): each worker process additionally runs its
 own :class:`~repro.obs.metrics.MetricsRegistry` and
@@ -56,6 +56,7 @@ merge their telemetry — the work happened, only the gradient was unused.
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import queue as queue_mod
@@ -67,12 +68,8 @@ import numpy as np
 from repro.obs.metrics import MetricsRegistry, get_active
 from repro.obs.telemetry import DeltaExporter
 from repro.obs.trace import Tracer
-from repro.parallel.buckets import (
-    BACKWARD_FRACTION,
-    DEFAULT_BUCKET_MB,
-    GradientBuckets,
-)
-from repro.parallel.cluster import NoiseTap, installing_loss_fn, shard_batch
+from repro.parallel.buckets import DEFAULT_BUCKET_MB
+from repro.parallel.cluster import SyncCluster, installing_loss_fn, shard_batch
 from repro.parallel.cost import CommModel
 from repro.parallel.faults import FaultSpec, WorkerFaultError
 from repro.parallel.perfmodel import DeviceModel
@@ -235,10 +232,15 @@ def _worker_main(factory, telemetry, req_q, resp_q) -> None:
             resp_q.put((tag, "error", f"{type(exc).__name__}: {exc}"))
 
 
-def _shard_finite(loss: float, grads: dict[str, np.ndarray]) -> bool:
-    if not np.isfinite(loss):
-        return False
-    return all(np.isfinite(g).all() for g in grads.values())
+def _poisoned(loss: float, grads: dict[str, np.ndarray]) -> bool:
+    """A finite loss with non-finite gradients: the worker, not the model.
+
+    A non-finite loss is the model's (every replica computes the same
+    one), so it is left for the reduction's gate.
+    """
+    return math.isfinite(loss) and not all(
+        np.isfinite(g).all() for g in grads.values()
+    )
 
 
 class _Worker(PersistentProcess):
@@ -252,7 +254,7 @@ class _Worker(PersistentProcess):
         self.outstanding = 0  # requests submitted but not yet drained
 
 
-class MultiprocessCluster:
+class MultiprocessCluster(SyncCluster):
     """Synchronous data-parallel gradients over real OS processes.
 
     Parameters
@@ -263,19 +265,11 @@ class MultiprocessCluster:
         replicas are made identical by loading the parent's parameters,
         so the factory's own initialisation seed is irrelevant.
     n_workers:
-        Process count.  A batch smaller than ``n_workers`` (the remainder
-        batch of a ``drop_last=False`` epoch) runs on ``min(n, batch)``
-        active workers; the rest idle for that step.
-    algorithm:
-        All-reduce flavour for the gradient reduction
-        (``ring``/``tree``/``naive``).
-    bucket_mb:
-        Gradient bucket capacity in MiB for the reduction (``None`` packs
-        everything into one monolithic bucket).
-    wire_dtype, stochastic_rounding:
-        Wire compression for the bucketed reduction — see
-        :class:`~repro.parallel.buckets.GradientBuckets`.  The reduction
-        still accumulates in wide precision; only the wire narrows.
+        Process count.
+    algorithm, bucket_mb, wire_dtype, stochastic_rounding, comm, device:
+        The reduction, as for :class:`~repro.parallel.cluster.SimCluster`
+        (see :class:`~repro.parallel.cluster.SyncCluster`).  The buckets
+        are planned at the first step, from the model it is given.
     timeout:
         Seconds to wait for any one shard before declaring its worker
         crashed or hung (``None`` waits forever — the seed behaviour).
@@ -289,9 +283,6 @@ class MultiprocessCluster:
         Optional :class:`~repro.parallel.faults.FaultSpec` injected into
         every worker computation — used by the tests and the resilience
         demo; ``None`` in production.
-    comm, device:
-        α-β link and device models for the simulated overlap timeline
-        gauges (see :mod:`repro.parallel.buckets`).
     telemetry:
         Run a local metrics registry + tracer inside every worker and
         ship deltas back on the response channel; the driver merges them
@@ -320,33 +311,22 @@ class MultiprocessCluster:
         wire_dtype: str | None = None,
         stochastic_rounding: bool = False,
     ):
-        if n_workers < 1:
-            raise ValueError("n_workers must be >= 1")
+        super().__init__(
+            n_workers, algorithm, bucket_mb, comm, device, wire_dtype,
+            stochastic_rounding,
+        )
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         if backoff < 0:
             raise ValueError("backoff must be >= 0")
         self.model_factory = model_factory
-        self.n_workers = n_workers
-        self.algorithm = algorithm
-        self.bucket_mb = bucket_mb
-        self.wire_dtype = wire_dtype
-        self.stochastic_rounding = bool(stochastic_rounding)
         self.timeout = timeout
         self.max_retries = max_retries
         self.backoff = backoff
         self.fault_spec = fault_spec
-        self.comm = comm or CommModel()
-        self.device = device or DeviceModel(t_fixed=0.0, t_sample=1.0)
         self.telemetry = telemetry
         self.tracer = tracer
-        self.faults_detected = 0
         self.retries = 0
-        # opt-in shard-gradient statistics for the online noise-scale
-        # estimator (repro.adapt); the per-worker gradients are already
-        # on the driver, so tapping costs squared-norm reductions only
-        self.noise_tap = False
-        self.last_noise_tap: NoiseTap | None = None
         # delta-broadcast accounting (exposed for tests and curiosity)
         self.broadcast_params = 0
         self.broadcast_bytes = 0
@@ -361,12 +341,6 @@ class MultiprocessCluster:
         ]
 
     # -- fault bookkeeping --------------------------------------------------
-
-    def _record_fault(self) -> None:
-        self.faults_detected += 1
-        reg = get_active()
-        if reg is not None:
-            reg.counter("parallel/faults_detected").inc()
 
     def _record_retry(self) -> None:
         self.retries += 1
@@ -496,15 +470,38 @@ class MultiprocessCluster:
         """Compute the global-batch gradient into ``model``'s ``.grad`` s.
 
         Returns the shard-weighted mean loss (== the full-batch loss of a
-        mean-reduction objective).  Raises :class:`WorkerFaultError` when
-        any shard exhausts its retry budget.
+        mean-reduction objective), or the fault the shared step reports
+        for a non-finite reduction (see
+        :class:`~repro.parallel.cluster.SyncCluster`).  Raises
+        :class:`WorkerFaultError` when any shard exhausts its retry
+        budget.
         """
         shards = shard_batch(list(batch_arrays), self.n_workers)
-        n_active = len(shards)  # < n_workers on a remainder batch
         sizes = np.array([len(s[0]) for s in shards], dtype=np.float64)
-        weights = sizes / sizes.sum()
         named = dict(model.named_parameters())
+        params = list(named.values())
+        if self.buckets is None:
+            self._plan(params, names=list(named))
         self._refresh_versions(named)
+        results = self._gather(shards)
+        loss, _ = self._reduce_step(
+            params,
+            sizes,
+            (
+                (shard_loss, [grads[name] for name in named])
+                for shard_loss, grads in results
+            ),
+        )
+        return loss
+
+    def _gather(self, shards) -> list[tuple[float, dict[str, np.ndarray]]]:
+        """Every shard's ``(loss, gradients)`` from the workers, in order.
+
+        A worker fault re-submits its shard to another worker, up to
+        ``max_retries`` times; the step then fails with
+        :class:`WorkerFaultError`.
+        """
+        n_active = len(shards)  # < n_workers on a remainder batch
         step = self._step
         self._step += 1
 
@@ -530,9 +527,9 @@ class MultiprocessCluster:
                         raise WorkerFaultError(f"shard {i}: {payload}")
                     loss, grads, tele = payload
                     self._merge_tele(w, tele)
-                    if not _shard_finite(loss, grads):
+                    if _poisoned(loss, grads):
                         raise WorkerFaultError(
-                            f"shard {i} returned non-finite loss/gradients"
+                            f"shard {i} returned non-finite gradients"
                         )
                 except Exception as exc:  # crash, hang/timeout, poisoned grads
                     self._record_fault()
@@ -554,69 +551,7 @@ class MultiprocessCluster:
                 else:
                     results[i] = (loss, grads)
                     del assigned[i]
-
-        # reduce through the bucketed all-reduce schedules and gate before
-        # touching the model — a non-finite reduction must never be
-        # installed.  Weighting by (shard fraction x active workers) makes
-        # the schedule's mean the shard-size-weighted average, exactly the
-        # full-batch gradient of a mean-reduction loss.
-        order = list(named)
-        params = [named[name] for name in order]
-        buckets = GradientBuckets(
-            params,
-            bucket_mb=self.bucket_mb if self.bucket_mb is not None else 1e9,
-            wire_dtype=self.wire_dtype,
-            stochastic_rounding=self.stochastic_rounding,
-            names=order,
-        )
-        worker_buckets = []
-        total_loss = 0.0
-        for (loss, grads), frac in zip(results, weights):
-            total_loss += frac * loss
-            scale = frac * n_active
-            worker_buckets.append(
-                buckets.pack(
-                    [
-                        np.asarray(
-                            grads[name] * scale, dtype=named[name].data.dtype
-                        )
-                        for name in order
-                    ]
-                )
-            )
-        reduced = buckets.reduce_packed(worker_buckets, algorithm=self.algorithm)
-        if not np.isfinite(total_loss) or any(
-            not np.isfinite(g).all() for g in reduced
-        ):
-            self._record_fault()
-            raise WorkerFaultError(
-                f"reduced gradient is non-finite at step {step}; not installing"
-            )
-        for p, g in zip(params, reduced):
-            p.grad = g
-        if self.noise_tap:
-            self.last_noise_tap = NoiseTap(
-                shard_sizes=[int(b) for b in sizes],
-                shard_sq_norms=[
-                    sum(
-                        float(np.sum(grads[name].astype(np.float64) ** 2))
-                        for name in order
-                    )
-                    for (loss, grads) in results
-                ],
-                big_size=int(sizes.sum()),
-                big_sq_norm=float(sum(float(np.sum(g * g)) for g in reduced)),
-            )
-        reg = get_active()
-        if reg is not None:
-            backward = (
-                self.device.iteration_time(int(sizes.max())) * BACKWARD_FRACTION
-            )
-            buckets.simulate_overlap(
-                self.n_workers, backward, algorithm=self.algorithm,
-                comm=self.comm,
-            ).record(reg)
-        return total_loss
+        return results
 
     # -- Trainer integration -----------------------------------------------
 

@@ -19,10 +19,12 @@ runs the head, and returns one result dict per request.
 Weights come from the training side through
 :mod:`repro.utils.checkpoint`: :meth:`from_checkpoint` loads a single
 archive, :meth:`from_manager` the newest one in a directory, and
-:meth:`swap_state` replaces the weights in place (the server calls it
-between batches for hot-swap — see ``docs/serving.md``).  Every engine
-carries a monotonically increasing ``version`` (the checkpoint step it
-serves) so swap staleness is a cheap integer comparison.
+:meth:`load_version` loads a checkpoint into the live model in place
+(the server calls it between batches for hot-swap — see
+``docs/serving.md``); :meth:`swap_state` does the same from an
+in-memory state dict.  Every engine carries a monotonically increasing
+``version`` (the checkpoint step it serves) so swap staleness is a cheap
+integer comparison.
 """
 
 from __future__ import annotations
@@ -140,9 +142,9 @@ class InferenceEngine:
     def swap_state(self, state: dict[str, np.ndarray], version: int) -> None:
         """Replace the weights in place and bump :attr:`version`.
 
-        Not thread-safe against a concurrent forward — the server calls
-        this on its engine thread *between* batches, which is exactly the
-        drain-then-swap discipline hot-swap needs.
+        Not thread-safe against a concurrent forward: call it between
+        batches, the drain-then-swap discipline the server keeps for
+        :meth:`load_version`.
         """
         self.model.load_state_dict(state)
         self.model.eval()
@@ -250,10 +252,10 @@ class PacedEngine:
 
     The fleet benchmark must measure the *router's* scaling behaviour —
     dispatch, IPC, policy quality — not how many LSTM forwards one host
-    can run, so replica compute is paced the same way the overlap
-    benchmark paces communication with its α–β ``DeviceModel``
-    (``docs/overlap.md``): every ``predict`` runs the real engine, then
-    sleeps until the batch has taken
+    can run, so replica compute is paced by a fixed-plus-per-sample
+    device model, the shape of :class:`~repro.parallel.perfmodel.
+    DeviceModel`: every ``predict`` runs the real engine, then sleeps
+    until the batch has taken
 
         ``t_fixed_ms + len(batch) * t_sample_ms``
 

@@ -219,10 +219,10 @@ class Server:
         whose step is derived from the filename via
         :meth:`CheckpointManager.step_of` — never a second scan, so a
         checkpoint landing mid-poll cannot desynchronise the staged path
-        from the step that was compared (the classic TOCTOU: comparing
-        ``latest_step()`` and then re-scanning with ``latest()`` could
-        stage a *newer* file than the step it beat, or in pathological
-        retention races an older one).
+        from the step that was compared (the classic TOCTOU: reading the
+        newest step in one scan and its path in another could stage a
+        *newer* file than the step it beat, or in pathological retention
+        races an older one).
         """
         if self.manager is None:
             return False

@@ -158,15 +158,13 @@ class TestTrainParallel:
         [(["--wire-dtype", "fp16"], "require workers"),
          (["--workers", "2", "--stochastic-rounding"],
           "requires wire_dtype fp16"),
-         (["--workers", "2", "--wire-dtype", "fp16", "--bucket-mb", "0"],
-          "bucketed reduction"),
          (["--workers", "2", "--wire-dtype", "fp16", "--stochastic-rounding",
            "--checkpoint-dir", "x"], "rounding stream is not checkpointed"),
          (["--workers", "2", "--amp"], "compress the wire with wire_dtype"),
          (["--adaptive-batch", "--noise-every", "0"],
           "noise_every must be >= 1")],
         ids=["wire-without-workers", "stochastic-without-fp16",
-             "wire-monolithic", "stochastic-checkpointed", "amp-workers",
+             "stochastic-checkpointed", "amp-workers",
              "adaptive-noise-every-0"],
     )
     def test_refusal_prints_the_validator_reason(self, capsys, flags, reason):
@@ -238,6 +236,20 @@ class TestTrainParallel:
         )
         assert code == 0
         assert "parallel: 2 workers" in capsys.readouterr().out
+
+    def test_compressed_wire_with_bucket_mb_zero(self, capsys, tmp_path):
+        """``--bucket-mb 0`` is one bucket a step, and it compresses too."""
+        metrics = tmp_path / "m.jsonl"
+        code = main(
+            ["train", "mnist", "--batch", "64", "--epochs", "1",
+             "--workers", "2", "--wire-dtype", "fp16", "--bucket-mb", "0",
+             "--metrics-out", str(metrics)]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "fp16 wire" in out
+        final = _final_metrics(metrics)
+        assert final["parallel/buckets/reduced"] == final["train/iterations"]
 
 
 class TestAdaptiveBatch:

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.data import ArrayDataset, BatchIterator, make_sequential_mnist
+from repro.experiments import build_workload
 from repro.models import MnistLSTMClassifier
 from repro.nn import Linear, Parameter
-from repro.obs.metrics import MetricsRegistry, set_active
+from repro.obs.metrics import MetricsRegistry, activated, set_active
 from repro.optim import (
     SGD,
     DynamicLossScaler,
@@ -20,6 +21,7 @@ from repro.optim import (
 from repro.parallel import MultiprocessCluster
 from repro.parallel.buckets import GradientBuckets
 from repro.parallel.cluster import SimCluster
+from repro.parallel.cost import CommModel
 from repro.schedules import ConstantLR
 from repro.serve import InferenceEngine, QuantizedMnistRunner, quantize_int8
 from repro.tensor import (
@@ -279,6 +281,25 @@ class TestAmpTrainer:
         assert scaler.scale < 2.0**15  # backed off, never clipped/applied
         assert result.epochs_completed == 1
 
+    @pytest.mark.slow
+    def test_amp_tracks_float64_on_the_mnist_workload(self):
+        """One epoch of the mnist smoke workload: amp's accuracy within
+        0.05 of float64's, and no step lost to an overflow skip."""
+        wl = build_workload("mnist", "smoke")
+        schedule = wl.legw_schedule(wl.base_batch, 1)
+        reg = MetricsRegistry()
+        with activated(reg):
+            amp = wl.run(wl.base_batch, schedule, epochs=1, amp=True)
+        full = wl.run(wl.base_batch, schedule, epochs=1, amp=False)
+        assert not amp.diverged and not full.diverged
+        assert reg.counter("amp/steps_skipped").value == 0
+        assert reg.counter("amp/steps_clean").value == wl.steps_per_epoch(
+            wl.base_batch
+        )
+        assert amp.final_metrics["accuracy"] >= (
+            full.final_metrics["accuracy"] - 0.05
+        )
+
 
 # -- fp32 master weights -----------------------------------------------------
 
@@ -349,7 +370,64 @@ def tiny_model_factory():
     return MnistLSTMClassifier(rng=0, input_dim=8, transform_dim=8, hidden=8)
 
 
+def _wire_cluster(model, **wire):
+    """4 workers over 0.02 MiB buckets: several buckets per step."""
+    cluster = SimCluster(
+        list(model.parameters()), model.loss, 4, bucket_mb=0.02,
+        comm=CommModel(alpha=1e-7, beta=1e-9), **wire,
+    )
+    assert cluster.buckets.num_buckets > 1
+    return cluster
+
+
+def _wire_problem():
+    model = MnistLSTMClassifier(rng=1, input_dim=14, transform_dim=32, hidden=32)
+    rng = np.random.default_rng(0)
+    return model, (rng.standard_normal((64, 14, 14)), rng.integers(0, 10, 64))
+
+
 class TestWireCompression:
+    def test_wire_bytes_halve_vs_fp32_and_quarter_vs_float64(self):
+        model, batch = _wire_problem()
+        moved = {}
+        for wire in (None, "fp32", "fp16"):
+            reg = MetricsRegistry()
+            with activated(reg):
+                _wire_cluster(model, wire_dtype=wire).gradient_step(batch)
+            moved[wire] = reg.counter("allreduce/ring/bytes").value
+        assert moved["fp32"] == 2 * moved["fp16"]
+        assert moved[None] == 4 * moved["fp16"]
+
+    def test_timeline_comm_falls_with_the_fp16_wire(self):
+        """On a bandwidth-bound link (β dominates these small buckets)
+        the α-β timeline prices each bucket at its wire width; the α
+        terms keep the drop just under the 2x byte ratio."""
+        model, batch = _wire_problem()
+        comm = {
+            wire: _wire_cluster(model, wire_dtype=wire)
+            .simulate_step(len(batch[0]) // 4)
+            .total_comm
+            for wire in ("fp32", "fp16")
+        }
+        assert comm["fp32"] / comm["fp16"] >= 1.8
+
+    def test_stochastic_rounding_mean_beats_round_to_nearest(self):
+        """Unbiased rounding: the mean of 8 successive reductions by one
+        cluster (its rounding stream runs on) lands nearer the float64
+        reduction than round-to-nearest's fixed bias."""
+        model, batch = _wire_problem()
+
+        def flat(grads):
+            return np.concatenate([g.ravel() for g in grads])
+
+        exact = flat(_wire_cluster(model).gradient_step(batch)[1])
+        nearest = flat(_wire_cluster(model, wire_dtype="fp16").gradient_step(batch)[1])
+        cluster = _wire_cluster(model, wire_dtype="fp16", stochastic_rounding=True)
+        mean = np.mean(
+            [flat(cluster.gradient_step(batch)[1]) for _ in range(8)], axis=0
+        )
+        assert np.abs(mean - exact).mean() < np.abs(nearest - exact).mean()
+
     def test_pack_guard_names_offending_parameter(self):
         p = Parameter(np.zeros((2, 2)))
         buckets = GradientBuckets([p], names=["layer.weight"])
@@ -405,7 +483,7 @@ class TestWireCompression:
         with pytest.raises(ValueError):
             SimCluster(
                 [p], lambda b: Tensor(np.zeros(())), 2,
-                bucket_mb=None, wire_dtype="fp16",
+                wire_dtype="bf16", stochastic_rounding=True,
             )
 
 

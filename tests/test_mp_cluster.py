@@ -5,10 +5,14 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.data import make_sequential_mnist
+from repro.data import ArrayDataset, BatchIterator, make_sequential_mnist
 from repro.models import MnistLSTMClassifier
+from repro.nn import Linear, Module
 from repro.optim import SGD
-from repro.parallel import MultiprocessCluster
+from repro.parallel import MultiprocessCluster, SimCluster
+from repro.schedules import ConstantLR
+from repro.tensor import Tensor
+from repro.train import ResilientTrainer, Trainer
 
 
 def tiny_model_factory():
@@ -251,3 +255,139 @@ class TestWorkerTelemetry:
             with MultiprocessCluster(tiny_model_factory, n_workers=2) as cluster:
                 cluster.gradient_step(model, batch)
         assert registry.names("parallel/w") == []
+
+
+# -- one shared step: both backends round, gate and diverge alike -----------
+
+
+class _Regressor(Module):
+    """Least squares through one linear layer, the loss times ``scale``."""
+
+    def __init__(self, scale: float = 1.0):
+        super().__init__()
+        self.fc = Linear(4, 1, rng=0)
+        self.scale = scale
+
+    def loss(self, batch):
+        xb, yb = batch
+        resid = self.fc(Tensor(xb)) - Tensor(yb.reshape(-1, 1))
+        return (resid * resid).mean() * self.scale
+
+
+def regressor_factory():
+    return _Regressor()
+
+
+def loud_regressor_factory():
+    """Shard gradients far above fp16's 65504: an fp16 wire overflows."""
+    return _Regressor(scale=1e6)
+
+
+def _cluster(backend, factory, model, **options):
+    if backend == "sim":
+        return SimCluster(list(model.parameters()), model.loss, 2, **options)
+    return MultiprocessCluster(factory, n_workers=2, backoff=0.0, **options)
+
+
+def _train(backend, factory, lr, epochs, checkpoint_dir=None, **options):
+    """SGD through a 2-worker cluster: ``(result, model, cluster)``."""
+    rng = np.random.default_rng(0)
+    xs = rng.standard_normal((32, 4))
+    batches = BatchIterator(ArrayDataset(xs, xs @ rng.standard_normal(4)), 8, rng=1)
+    model = factory()
+    cluster = _cluster(backend, factory, model, **options)
+    optimizer = SGD(model, lr=lr)
+    try:
+        if checkpoint_dir is None:
+            trainer = Trainer(
+                cluster.as_loss_fn(model), optimizer, ConstantLR(lr), batches
+            )
+        else:
+            trainer = ResilientTrainer(
+                model, optimizer, ConstantLR(lr), batches,
+                checkpoint_dir=checkpoint_dir, loss_fn=cluster.as_loss_fn(model),
+            )
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = trainer.run(epochs)
+    finally:
+        cluster.close()
+    return result, model, cluster
+
+
+def _logged(result):
+    return result.log.steps("loss"), np.asarray(result.log.values("loss"))
+
+
+@pytest.mark.slow
+class TestBackendsAgree:
+    """Both clusters run one shared step, so their runs cannot part ways."""
+
+    def test_stochastic_rounding_stream_runs_on_across_steps(self):
+        train, _ = make_sequential_mnist(10, 8, rng=1, size=8)
+        batch = (train.inputs, train.targets)
+        wire = dict(wire_dtype="fp16", stochastic_rounding=True)
+        runs = {}
+        for backend in ("sim", "mp"):
+            model = tiny_model_factory()
+            cluster = _cluster(backend, tiny_model_factory, model, **wire)
+            steps = []
+            try:
+                for _ in range(3):
+                    if backend == "sim":
+                        cluster.gradient_step(batch)
+                    else:
+                        cluster.gradient_step(model, batch)
+                    steps.append([p.grad.copy() for p in model.parameters()])
+            finally:
+                cluster.close()
+            for a, b in ((0, 1), (0, 2), (1, 2)):
+                assert not all(
+                    np.array_equal(x, y) for x, y in zip(steps[a], steps[b])
+                ), (backend, a, b)
+            runs[backend] = steps
+        for sim_step, mp_step in zip(runs["sim"], runs["mp"]):
+            for x, y in zip(sim_step, mp_step):
+                assert np.array_equal(x, y)
+
+    @pytest.mark.parametrize("backend", ["sim", "mp"])
+    def test_overflowed_wire_is_never_installed(self, backend):
+        result, model, cluster = _train(
+            backend, loud_regressor_factory, 0.1, 1, wire_dtype="fp16"
+        )
+        assert result.diverged
+        steps, losses = _logged(result)
+        assert steps == [0] and np.isnan(losses[0])
+        initial = loud_regressor_factory()
+        for p, p0 in zip(model.parameters(), initial.parameters()):
+            assert np.array_equal(p.data, p0.data)
+            assert p.grad is None
+        assert cluster.faults_detected == 1
+
+    def test_overflowed_wire_rolls_back_alike(self, tmp_path):
+        runs = {
+            backend: _train(
+                backend, loud_regressor_factory, 0.1, 1,
+                checkpoint_dir=tmp_path / backend, wire_dtype="fp16",
+            )[0]
+            for backend in ("sim", "mp")
+        }
+        sim, mp = runs["sim"], runs["mp"]
+        assert sim.diverged and mp.diverged
+        assert sim.final_metrics["recoveries"] == 2.0
+        assert mp.final_metrics["recoveries"] == sim.final_metrics["recoveries"]
+        (sim_steps, sim_losses), (mp_steps, mp_losses) = _logged(sim), _logged(mp)
+        assert mp_steps == sim_steps
+        np.testing.assert_array_equal(mp_losses, sim_losses)
+
+    def test_divergence_is_the_model_not_a_worker_fault(self):
+        runs = {
+            backend: _train(backend, regressor_factory, 1e6, 10)
+            for backend in ("sim", "mp")
+        }
+        (sim, _, _), (mp, _, cluster) = runs["sim"], runs["mp"]
+        assert sim.diverged and mp.diverged
+        (sim_steps, sim_losses), (mp_steps, mp_losses) = _logged(sim), _logged(mp)
+        assert np.isinf(sim_losses[-1])  # the observed value, not NaN
+        assert mp_steps == sim_steps
+        np.testing.assert_array_equal(mp_losses, sim_losses)
+        assert cluster.retries == 0

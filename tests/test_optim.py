@@ -32,13 +32,17 @@ def quadratic_param(rng, n=6):
 
 
 # (class, kwargs, steps) — Adadelta's early steps are eps-scaled, so its
-# descent is slow by construction and gets a longer budget.
+# descent is slow by construction and gets a longer budget.  Each case is
+# named after its solver, so deleting one renames no other.
 ALL_SOLVERS = [
-    (SGD, {"lr": 0.1}, 150),
-    (Momentum, {"lr": 0.05, "momentum": 0.9}, 150),
-    (Adam, {"lr": 0.1}, 150),
-    (Adadelta, {"lr": 1.0}, 3000),
-    (LARS, {"lr": 0.5, "trust_coefficient": 0.1}, 150),
+    pytest.param(cls, kwargs, steps, id=cls.__name__)
+    for cls, kwargs, steps in [
+        (SGD, {"lr": 0.1}, 150),
+        (Momentum, {"lr": 0.05, "momentum": 0.9}, 150),
+        (Adam, {"lr": 0.1}, 150),
+        (Adadelta, {"lr": 1.0}, 3000),
+        (LARS, {"lr": 0.5, "trust_coefficient": 0.1}, 150),
+    ]
 ]
 
 

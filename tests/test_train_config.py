@@ -42,7 +42,6 @@ REFUSALS = [
     (dict(workers=2, backend="nccl"), "unknown backend"),
     (dict(wire_dtype="fp16"), "require workers"),
     (dict(workers=2, stochastic_rounding=True), "requires wire_dtype fp16"),
-    (dict(workers=2, wire_dtype="fp16", bucket_mb=None), "bucketed reduction"),
     (dict(workers=2, wire_dtype="fp16", stochastic_rounding=True,
           checkpoint_dir="ckpt"), "rounding stream is not checkpointed"),
     (dict(workers=2, amp=True), "compress the wire with wire_dtype"),
@@ -131,6 +130,27 @@ def test_adaptive_policy_compresses_the_wire(mnist):
             / reg.counter("parallel/buckets/reduced").value
         )
     assert per_bucket["fp16"] == per_bucket[None] / 4
+
+
+@pytest.mark.parametrize("backend", ["sim", "mp"])
+def test_fp16_wire_over_one_bucket_trains(backend, mnist):
+    """``bucket_mb=None`` reduces one bucket a step, and an fp16 wire
+    carries a quarter of its float64 bytes, on both backends."""
+    per_step = {}
+    for wire in (None, "fp16"):
+        obs = Obs(metrics=True)
+        with obs.activate():
+            result = mnist.run(
+                64, workers=2, backend=backend, bucket_mb=None,
+                wire_dtype=wire, epochs=1, obs=obs,
+            )
+        assert not result.diverged
+        assert 0.0 <= result.final_metrics["overlap_fraction"] <= 1.0
+        reg = obs.metrics
+        steps = reg.counter("train/iterations").value
+        assert reg.counter("parallel/buckets/reduced").value == steps
+        per_step[wire] = reg.counter("parallel/buckets/bytes").value / steps
+    assert per_step["fp16"] == per_step[None] / 4
 
 
 def test_adaptive_policy_with_amp_resumes_bitwise(tmp_path, mnist):
