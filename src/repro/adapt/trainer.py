@@ -78,8 +78,8 @@ class AdaptiveBatchTrainer(CheckpointedTrainer):
 
     The :class:`~repro.train.trainer.Trainer` loop with a batch change at
     each epoch start and a noise-scale feed after each step.  There is no
-    rollback: a fault (non-finite loss or eval metric, or a critical
-    health event) ends the run as diverged.
+    rollback: a fault (non-finite loss or eval metric) ends the run as
+    diverged; the health monitor only records events.
 
     Parameters
     ----------

@@ -568,8 +568,6 @@ def _serve_payload_pool(wl, workload: str, seed: int) -> list:
 def _cmd_serve_bench(args: argparse.Namespace) -> int:
     from repro.serve import (
         DynamicBatcher,
-        InferenceEngine,
-        PacedEngine,
         Router,
         Server,
         run_closed_loop,
@@ -582,82 +580,60 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     if args.quantize is not None and task != "mnist":
         print("--quantize int8 supports the mnist task only", file=sys.stderr)
         return 2
-    eng_kwargs = dict(quantize=args.quantize)
-    model = wl.make_model(args.seed)
-    manager = None
-    if args.snapshot is not None:
-        snap = pathlib.Path(args.snapshot)
-        if snap.is_dir():
-            manager = CheckpointManager(snap)
-            engine = InferenceEngine.from_manager(manager, model, task, **eng_kwargs)
+    snap = pathlib.Path(args.snapshot) if args.snapshot is not None else None
+    manager = CheckpointManager(snap) if snap is not None and snap.is_dir() else None
+    source = str(snap) if snap is not None else "fresh model"
+
+    def make_engine():
+        """The served engine: the single server builds one, and each
+        replica builds its own (a closure is fine under the fork start
+        method; see docs/serving.md)."""
+        from repro.serve import InferenceEngine, PacedEngine
+
+        model = wl.make_model(args.seed)
+        if manager is not None:
+            engine = InferenceEngine.from_manager(
+                manager, model, task, quantize=args.quantize
+            )
         else:
-            engine = InferenceEngine.from_checkpoint(snap, model, task, **eng_kwargs)
-        source = str(snap)
-    else:
-        engine = InferenceEngine(model, task, **eng_kwargs)
-        source = "fresh model"
+            engine = InferenceEngine(model, task, quantize=args.quantize)
+            if snap is not None:
+                engine.load_version(snap)
+        if args.paced_batch_ms is None:
+            return engine
+        return PacedEngine(
+            engine,
+            t_fixed_ms=args.paced_batch_ms,
+            t_sample_ms=args.paced_sample_ms,
+        )
+
     pool = _serve_payload_pool(wl, args.workload, args.seed)
 
     def payload_fn(rng, i):
         return pool[int(rng.integers(len(pool)))]
 
     obs = _build_obs(args)
-    health = None
+    batcher = dict(
+        max_batch_size=args.max_batch,
+        max_wait_ms=args.max_wait_ms,
+        max_queue_depth=args.max_queue_depth,
+    )
     if args.replicas > 1:
-        # fleet: each replica process builds its own engine (a closure is
-        # fine under the fork start method; see docs/serving.md)
-        snap_path = pathlib.Path(args.snapshot) if args.snapshot else None
-        paced_fixed, paced_sample = args.paced_batch_ms, args.paced_sample_ms
-
-        def engine_factory():
-            replica_model = wl.make_model(args.seed)
-            if manager is not None:
-                eng = InferenceEngine.from_manager(
-                    manager, replica_model, task, **eng_kwargs
-                )
-            elif snap_path is not None:
-                eng = InferenceEngine.from_checkpoint(
-                    snap_path, replica_model, task, **eng_kwargs
-                )
-            else:
-                eng = InferenceEngine(replica_model, task, **eng_kwargs)
-            if paced_fixed is not None:
-                eng = PacedEngine(
-                    eng, t_fixed_ms=paced_fixed, t_sample_ms=paced_sample
-                )
-            return eng
-
         front = Router(
-            engine_factory,
+            make_engine,
             replicas=args.replicas,
             policy=args.policy,
-            batcher=dict(
-                max_batch_size=args.max_batch,
-                max_wait_ms=args.max_wait_ms,
-                max_queue_depth=args.max_queue_depth,
-            ),
+            batcher=batcher,
             manager=manager,
             obs=obs,
             metrics_every_batches=args.metrics_every,
             sample_metrics=args.metrics_every > 0,
         )
     else:
-        if args.paced_batch_ms is not None:
-            engine = PacedEngine(
-                engine,
-                t_fixed_ms=args.paced_batch_ms,
-                t_sample_ms=args.paced_sample_ms,
-            )
-        batcher = DynamicBatcher(
-            max_batch_size=args.max_batch,
-            max_wait_ms=args.max_wait_ms,
-            max_queue_depth=args.max_queue_depth,
-        )
         front = Server(
-            engine, batcher, manager=manager, obs=obs,
-            metrics_every_batches=args.metrics_every,
+            make_engine(), DynamicBatcher(**batcher), manager=manager,
+            obs=obs, metrics_every_batches=args.metrics_every,
         )
-        health = front.health
 
     def bench():
         with front:
@@ -676,10 +652,25 @@ def _cmd_serve_bench(args: argparse.Namespace) -> int:
     else:
         with obs.activate():
             report = bench()
+    if args.replicas > 1:
+        # the fleet's lowest reported version: the one every replica
+        # has reached; each replica keeps its own health monitor
+        version = min(
+            (v for v in front.versions().values() if v is not None),
+            default=None,
+        )
+        if version is None:
+            # every replica died building its engine (say, a snapshot
+            # that does not load); their tracebacks are on stderr
+            print("repro serve-bench: no replica came up", file=sys.stderr)
+            return 1
+        health = None
+    else:
+        version, health = front.engine.version, front.health
     quant = f", {args.quantize} quantized" if args.quantize else ""
     print(
         f"serving {args.workload} ({task} head{quant}, "
-        f"version {engine.version}, {source}; max batch {args.max_batch}, "
+        f"version {version}, {source}; max batch {args.max_batch}, "
         f"max wait {args.max_wait_ms:g} ms)"
     )
     if args.replicas > 1:

@@ -131,13 +131,6 @@ class OpProfiler:
         """Reset the forward-attribution reference point (phase boundary)."""
         self._mark = time.perf_counter()
 
-    def reset(self) -> None:
-        """Drop all accumulated statistics (hook state is untouched)."""
-        self.forward.clear()
-        self.backward.clear()
-        self.graph_nodes = 0
-        self.mark()
-
     # -- reporting ---------------------------------------------------------
 
     def rows(self) -> list[tuple[str, str, OpStat]]:
@@ -167,16 +160,3 @@ class OpProfiler:
                 ]
             )
         return table.render()
-
-    def snapshot(self) -> list[dict]:
-        """All stats as plain dicts (for JSON hand-off)."""
-        return [
-            {
-                "op": op,
-                "phase": phase,
-                "calls": st.calls,
-                "seconds": st.seconds,
-                "elements": st.elements,
-            }
-            for op, phase, st in self.rows()
-        ]

@@ -2,16 +2,19 @@
 
 Two halves, both built on the primitives in :mod:`repro.obs.metrics`:
 
-**Delta export** — a producer that cannot share the driver's registry (a
-:class:`~repro.parallel.mp.MultiprocessCluster` worker process, a serving
-replica) records into its *own* registry and periodically ships the
-difference since its last shipment over whatever result/response channel
-it already has.  :class:`DeltaExporter` computes those deltas (counters as
-increments, gauges as current values, histograms as per-bucket count
-increments) with a monotonically increasing ``seq``;
-:meth:`repro.obs.metrics.MetricsRegistry.merge` applies them on the
-driver side under a per-worker label and uses ``(source, seq)`` to make a
-re-delivered delta a no-op.
+**The child channel** — a child process that cannot share its parent's
+registry (a :class:`~repro.parallel.mp.MultiprocessCluster` worker, a
+serving replica) records into the registry and tracer of its own
+:class:`ChildTelemetry` and ships the difference since its last shipment
+over whatever response channel it already has.  The payload is
+``{"pid", "metrics", "trace"}``: a :class:`DeltaExporter` export
+(counters as increments, gauges as current values, histograms as
+per-bucket count increments, with a monotonically increasing ``seq``)
+and the spans recorded since the previous ship.  The parent hands each
+payload to :func:`absorb_child`, which merges the metrics into the
+active registry under a per-child label — ``(child, pid, seq)`` makes a
+re-delivered delta a no-op — and the spans into its tracer as one lane
+per child process.
 
 **Health monitoring** — :class:`HealthMonitor` evaluates a set of rules
 against the time series produced by
@@ -19,9 +22,10 @@ against the time series produced by
 per-interval scalars, not raw snapshots: a gauge contributes its value, a
 counter its increment since the previous sample, a histogram the mean of
 the observations that arrived in the interval.  Fired rules become
-structured :class:`HealthEvent` records that consumers act on — the
-:class:`~repro.train.resilience.ResilientTrainer` treats a critical event
-as a rollback trigger and the serving loop raises a shed-rate alarm.
+structured :class:`HealthEvent` records for the run report; the serving
+loop also counts its critical events as alarms (the shed-rate alarm).
+The trainers only record events: a non-finite loss, not the monitor, is
+what triggers their fault policy.
 
 The stock rule sets (:func:`default_training_rules`,
 :func:`default_serving_rules`) watch exactly the signals the paper's
@@ -34,13 +38,17 @@ from __future__ import annotations
 
 import fnmatch
 import math
+import os
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, get_active
+from repro.obs.trace import Tracer
 
 __all__ = [
+    "ChildTelemetry",
+    "absorb_child",
     "DeltaExporter",
     "HealthEvent",
     "HealthRule",
@@ -57,7 +65,7 @@ SEVERITIES = ("info", "warning", "critical")
 
 
 # ---------------------------------------------------------------------------
-# delta export
+# the child channel
 # ---------------------------------------------------------------------------
 
 
@@ -126,6 +134,67 @@ class DeltaExporter:
         raise ValueError(f"unknown instrument type {kind!r}")
 
 
+class ChildTelemetry:
+    """A child process's own registry and tracer, shipped as deltas.
+
+    The child records into :attr:`registry` and :attr:`tracer`; each
+    :meth:`ship` returns the payload its parent passes to
+    :func:`absorb_child`: ``{"pid": ..., "metrics": ..., "trace": ...}``,
+    the metric delta and the spans recorded since the previous ship.
+    """
+
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self.tracer = Tracer()
+        self._exporter = DeltaExporter(self.registry)
+        self._trace_sent = 0
+
+    def ship(self) -> dict:
+        trace = self.tracer.dump(self._trace_sent)
+        self._trace_sent += len(trace["events"])
+        return {
+            "pid": os.getpid(),
+            "metrics": self._exporter.export(),
+            "trace": trace,
+        }
+
+
+def absorb_child(
+    payload: dict,
+    *,
+    namespace: str,
+    child: str,
+    lane: str,
+    tracer: Tracer | None,
+) -> None:
+    """Fold one :meth:`ChildTelemetry.ship` payload into the parent's view.
+
+    Metric deltas land in the active registry (if any) as
+    ``<namespace>/<child>/<name>``; a name already under ``<namespace>/``
+    loses that head first, so a replica's ``serve/requests`` becomes
+    ``serve/r0/requests``.  The ``(child, pid, seq)`` key makes a
+    re-delivered delta a no-op while letting a respawned child (new pid,
+    ``seq`` restarting at 1) through.  Spans go into ``tracer`` (unless
+    it is ``None``) re-rooted under ``<child>/``, in a Chrome-trace lane
+    labelled ``lane``.
+    """
+    reg = get_active()
+    if reg is not None:
+        head = f"{namespace}/"
+        delta = payload["metrics"]
+        reg.merge(
+            [
+                {**snap, "name": snap["name"].removeprefix(head)}
+                for snap in delta["metrics"]
+            ],
+            prefix=f"{head}{child}/",
+            source=f"{child}:{payload['pid']}",
+            seq=delta["seq"],
+        )
+    if tracer is not None and payload["trace"]["events"]:
+        tracer.absorb(payload["trace"], prefix=child, process_name=lane)
+
+
 # ---------------------------------------------------------------------------
 # health events and rules
 # ---------------------------------------------------------------------------
@@ -146,18 +215,6 @@ class HealthEvent:
     @property
     def critical(self) -> bool:
         return self.severity == "critical"
-
-    def to_dict(self) -> dict:
-        return {
-            "type": "health_event",
-            "rule": self.rule,
-            "severity": self.severity,
-            "instrument": self.instrument,
-            "value": self.value,
-            "message": self.message,
-            "step": self.step,
-            "t": self.t,
-        }
 
 
 @dataclass

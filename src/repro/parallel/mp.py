@@ -39,34 +39,30 @@ Every detected fault and retry increments ``parallel/faults_detected`` /
 ``parallel/retries`` on the active metrics registry (see ``repro.obs``),
 as well as the cluster's own counters.
 
-Telemetry (``telemetry=True``): each worker process additionally runs its
-own :class:`~repro.obs.metrics.MetricsRegistry` and
-:class:`~repro.obs.trace.Tracer`, recording per-step loss/steps/step-time
-and ``step``/``forward``/``backward`` spans, and ships the *delta* since
-its previous reply (a :class:`~repro.obs.telemetry.DeltaExporter` export
-plus an incremental trace dump) piggybacked on the existing response
-tuples — no extra channel.  The driver merges metric deltas into the
-active registry under ``parallel/w<i>/...`` labels (idempotently, keyed
-by worker slot + pid + sequence number, so a re-delivered delta is a
-no-op and a respawned worker starts a fresh key) and absorbs trace dumps
-into the driver's tracer, re-anchored to the driver clock with real
-pid/tid metadata.  Stale responses from abandoned retry attempts still
-merge their telemetry — the work happened, only the gradient was unused.
+Telemetry (``telemetry=True``): each worker process additionally runs a
+:class:`~repro.obs.telemetry.ChildTelemetry`, recording per-step
+loss/steps/step-time and ``step``/``forward``/``backward`` spans, and
+ships what changed since its previous reply piggybacked on the existing
+response tuples — no extra channel.  The driver hands each payload to
+:func:`~repro.obs.telemetry.absorb_child`: metrics land in the active
+registry under ``parallel/w<i>/...`` and spans in the driver's tracer as
+a ``worker <i>`` lane — the channel the serving replicas use too.  Stale
+responses from abandoned retry attempts still merge their telemetry —
+the work happened, only the gradient was unused.
 """
 
 from __future__ import annotations
 
 import math
 import multiprocessing as mp
-import os
 import queue as queue_mod
 import time
 from typing import Callable, Sequence
 
 import numpy as np
 
-from repro.obs.metrics import MetricsRegistry, get_active
-from repro.obs.telemetry import DeltaExporter
+from repro.obs.metrics import get_active
+from repro.obs.telemetry import ChildTelemetry, absorb_child
 from repro.obs.trace import Tracer
 from repro.parallel.buckets import DEFAULT_BUCKET_MB
 from repro.parallel.cluster import SyncCluster, installing_loss_fn, shard_batch
@@ -109,23 +105,19 @@ class PersistentProcess:
       reported as responses so the parent sees a message, not a hang.
 
     :meth:`shutdown` sends the sentinel, joins with a timeout, and
-    terminates a wedged process rather than hanging the parent.
+    terminates a wedged process rather than hanging the parent.  Every
+    child starts in :func:`default_context`.
     """
 
-    __slots__ = ("ctx", "req_q", "resp_q", "proc")
+    __slots__ = ("req_q", "resp_q", "proc")
 
     def __init__(
-        self,
-        target,
-        args: tuple = (),
-        *,
-        ctx=None,
-        name: str | None = None,
+        self, target, args: tuple = (), *, name: str | None = None
     ) -> None:
-        self.ctx = ctx if ctx is not None else default_context()
-        self.req_q = self.ctx.Queue()
-        self.resp_q = self.ctx.Queue()
-        self.proc = self.ctx.Process(
+        ctx = default_context()
+        self.req_q = ctx.Queue()
+        self.resp_q = ctx.Queue()
+        self.proc = ctx.Process(
             target=target,
             args=(*args, self.req_q, self.resp_q),
             name=name,
@@ -166,19 +158,14 @@ def _worker_main(factory, telemetry, req_q, resp_q) -> None:
     Replies are ``(tag, "ok", (loss, grads, tele))`` or
     ``(tag, "error", msg)`` — compute exceptions (including injected
     crashes) are reported, never allowed to kill the loop, so the replica
-    cache survives faults.  With ``telemetry`` on, ``tele`` carries the
-    worker's metric delta and incremental trace dump since its last ok
-    reply (``None`` otherwise); a faulted attempt's spans ship with the
-    next ok reply, tagged with the exception.
+    cache survives faults.  With ``telemetry`` on, ``tele`` is the
+    worker's :meth:`~repro.obs.telemetry.ChildTelemetry.ship` payload
+    since its last ok reply (``None`` otherwise); a faulted attempt's
+    spans ship with the next ok reply, tagged with the exception.
     """
     model = None
     params = None
-    registry = tracer = exporter = None
-    trace_sent = 0
-    if telemetry:
-        registry = MetricsRegistry()
-        tracer = Tracer()
-        exporter = DeltaExporter(registry)
+    tele = ChildTelemetry() if telemetry else None
     while True:
         msg = req_q.get()
         if msg is None:
@@ -199,10 +186,11 @@ def _worker_main(factory, telemetry, req_q, resp_q) -> None:
                 kind = spec.pre_compute(step, shard_idx, attempt)
             model.zero_grad()
             t0 = time.perf_counter()
-            if tracer is None:
+            if tele is None:
                 loss = model.loss(shard)
                 loss.backward()
             else:
+                tracer = tele.tracer
                 with tracer.span("step"):
                     with tracer.span("forward"):
                         loss = model.loss(shard)
@@ -214,20 +202,16 @@ def _worker_main(factory, telemetry, req_q, resp_q) -> None:
             }
             if kind == "nan":
                 FaultSpec.poison(grads)
-            tele = None
-            if telemetry:
-                registry.counter("steps").inc()
-                registry.gauge("loss").set(float(loss.data))
-                registry.histogram("step_ms", STEP_MS_BUCKETS).observe(
+            shipped = None
+            if tele is not None:
+                reg = tele.registry
+                reg.counter("steps").inc()
+                reg.gauge("loss").set(float(loss.data))
+                reg.histogram("step_ms", STEP_MS_BUCKETS).observe(
                     (time.perf_counter() - t0) * 1e3
                 )
-                tele = {
-                    "pid": os.getpid(),
-                    "metrics": exporter.export(),
-                    "trace": tracer.dump(trace_sent),
-                }
-                trace_sent = len(tracer.events)
-            resp_q.put((tag, "ok", (float(loss.data), grads, tele)))
+                shipped = tele.ship()
+            resp_q.put((tag, "ok", (float(loss.data), grads, shipped)))
         except Exception as exc:  # injected crash or genuine compute error
             resp_q.put((tag, "error", f"{type(exc).__name__}: {exc}"))
 
@@ -248,8 +232,8 @@ class _Worker(PersistentProcess):
 
     __slots__ = ("sent_version", "outstanding")
 
-    def __init__(self, ctx, factory, telemetry: bool = False):
-        super().__init__(_worker_main, (factory, telemetry), ctx=ctx)
+    def __init__(self, factory, telemetry: bool = False):
+        super().__init__(_worker_main, (factory, telemetry))
         self.sent_version = 0  # last param version shipped to this replica
         self.outstanding = 0  # requests submitted but not yet drained
 
@@ -284,9 +268,10 @@ class MultiprocessCluster(SyncCluster):
         every worker computation — used by the tests and the resilience
         demo; ``None`` in production.
     telemetry:
-        Run a local metrics registry + tracer inside every worker and
-        ship deltas back on the response channel; the driver merges them
-        into the active registry (``parallel/w<i>/...``) and ``tracer``.
+        Run a :class:`~repro.obs.telemetry.ChildTelemetry` inside every
+        worker and ship it back on the response channel; the driver
+        merges it into the active registry (``parallel/w<i>/...``) and
+        ``tracer``.
     tracer:
         The driver-side :class:`~repro.obs.trace.Tracer` that absorbs
         worker trace dumps (typically ``obs.tracer``); ``None`` discards
@@ -334,10 +319,8 @@ class MultiprocessCluster(SyncCluster):
         self._version = 0  # bumps whenever any parameter changes
         self._shadow: dict[str, np.ndarray] = {}  # last-broadcast values
         self._changed_at: dict[str, int] = {}  # name -> version of change
-        self._ctx = default_context()
         self._workers = [
-            _Worker(self._ctx, model_factory, telemetry)
-            for _ in range(n_workers)
+            _Worker(model_factory, telemetry) for _ in range(n_workers)
         ]
 
     # -- fault bookkeeping --------------------------------------------------
@@ -351,28 +334,11 @@ class MultiprocessCluster(SyncCluster):
     # -- telemetry merge ----------------------------------------------------
 
     def _merge_tele(self, w: int, tele: dict | None) -> None:
-        """Fold one worker reply's telemetry into the driver's view.
-
-        Metric deltas land in the active registry under
-        ``parallel/w<i>/...``; the ``(slot, pid, seq)`` key makes a
-        re-delivered delta a no-op while letting a respawned worker (new
-        pid, seq restarting at 1) through.  Trace dumps are absorbed into
-        :attr:`tracer` re-rooted under ``w<i>/``.
-        """
-        if tele is None:
-            return
-        reg = get_active()
-        if reg is not None:
-            delta = tele["metrics"]
-            reg.merge(
-                delta["metrics"],
-                prefix=f"parallel/w{w}/",
-                source=f"w{w}:{tele['pid']}",
-                seq=delta["seq"],
-            )
-        if self.tracer is not None and tele["trace"]["events"]:
-            self.tracer.absorb(
-                tele["trace"], prefix=f"w{w}", process_name=f"worker {w}"
+        """Fold one worker reply's telemetry into the driver's view."""
+        if tele is not None:
+            absorb_child(
+                tele, namespace="parallel", child=f"w{w}",
+                lane=f"worker {w}", tracer=self.tracer,
             )
 
     # -- the delta broadcast ------------------------------------------------
@@ -408,7 +374,7 @@ class MultiprocessCluster(SyncCluster):
             # the process died outright: respawn with an empty replica
             # cache (sent_version 0 forces a full state resend)
             self._workers[w] = worker = _Worker(
-                self._ctx, self.model_factory, self.telemetry
+                self.model_factory, self.telemetry
             )
         updates = self._updates_for(worker)
         worker.req_q.put((tag, updates, shard, fault))

@@ -21,10 +21,10 @@ applies unchanged to inference, so the serving layer's whole job is to
   latency;
 * :class:`~repro.serve.router.Router` — the scale-out fleet: N replica
   processes (:mod:`~repro.serve.replica`) behind pluggable routing
-  policies, version-clocked coordinated hot-swap, and queue-depth-driven
-  autoscaling.  :class:`~repro.serve.engine.PacedEngine` paces replica
-  compute against a fixed-plus-per-sample device model so fleet scaling
-  benchmarks measure the routing machinery, not host core count.
+  policies, with version-clocked coordinated hot-swap and respawn of a
+  replica that dies.  :class:`~repro.serve.engine.PacedEngine` paces
+  engine compute against a fixed-plus-per-sample device model so fleet
+  scaling benchmarks measure the routing machinery, not host core count.
 """
 
 from repro.serve.batcher import SHED, DynamicBatcher, Request

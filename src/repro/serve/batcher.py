@@ -156,7 +156,8 @@ class DynamicBatcher:
             return True
 
     def depth(self) -> int:
-        """Current queue depth (for the ``serve/queue_depth`` gauge)."""
+        """Current queue depth: the ``serve/queue_depth`` gauge, and the
+        signal a fleet's least-loaded routing reads."""
         with self._lock:
             return len(self._queue)
 
@@ -230,9 +231,3 @@ class DynamicBatcher:
                     break
                 self._nonempty.wait(remaining)
             return self._take_batch_locked()
-
-    def drain(self) -> list[Request]:
-        """Pop everything queued (used by shutdown paths)."""
-        with self._lock:
-            batch, self._queue = self._queue, []
-            return batch

@@ -17,14 +17,14 @@ per application family:
 runs the head, and returns one result dict per request.
 
 Weights come from the training side through
-:mod:`repro.utils.checkpoint`: :meth:`from_checkpoint` loads a single
-archive, :meth:`from_manager` the newest one in a directory, and
-:meth:`load_version` loads a checkpoint into the live model in place
-(the server calls it between batches for hot-swap — see
-``docs/serving.md``); :meth:`swap_state` does the same from an
-in-memory state dict.  Every engine carries a monotonically increasing
-``version`` (the checkpoint step it serves) so swap staleness is a cheap
-integer comparison.
+:mod:`repro.utils.checkpoint`, by one of two loaders:
+:meth:`load_version` loads one archive into the live model in place (the
+server calls it between batches for hot-swap — see
+``docs/serving.md``), and :meth:`from_manager` wraps a model loaded from
+the newest loadable checkpoint in a directory, skipping corrupt files.
+Every engine carries a monotonically increasing ``version`` (the
+checkpoint step it serves, 0 for a fresh model) so swap staleness is a
+cheap integer comparison.
 """
 
 from __future__ import annotations
@@ -45,6 +45,13 @@ __all__ = ["InferenceEngine", "PacedEngine", "TASKS"]
 TASKS = ("mnist", "ptb", "gnmt")
 
 
+def _version_of(path: str | pathlib.Path, iteration: int) -> int:
+    """A loaded checkpoint's version: the step of its ``ckpt_<step>``
+    name, or else the iteration saved in it."""
+    step = CheckpointManager.step_of(path)
+    return step if step is not None else iteration
+
+
 class InferenceEngine:
     """A model pinned into inference mode, with task-specific heads.
 
@@ -59,9 +66,6 @@ class InferenceEngine:
         process-wide switch (``REPRO_FUSED=0``, ``use_fused(False)``)
         selects the reference engine; the two agree to float64 round-off,
         padded GNMT batches included (docs/fused_kernels.md).
-    version:
-        The checkpoint step these weights correspond to (0 for a fresh
-        model).
     beam_size / length_alpha / max_len_factor:
         GNMT decoding knobs (ignored by the other tasks).  A request's
         horizon is ``int(source length * max_len_factor) + 2``.  Bad
@@ -81,7 +85,6 @@ class InferenceEngine:
         model,
         task: str,
         *,
-        version: int = 0,
         beam_size: int = 2,
         length_alpha: float = 0.6,
         max_len_factor: float = 2.5,
@@ -98,7 +101,7 @@ class InferenceEngine:
         check_decode_settings(beam_size, length_alpha, max_len_factor)
         self.model = model
         self.task = task
-        self.version = int(version)
+        self.version = 0
         self.beam_size = beam_size
         self.length_alpha = length_alpha
         self.max_len_factor = max_len_factor
@@ -110,17 +113,7 @@ class InferenceEngine:
             self._quantized = QuantizedMnistRunner(model)
         self.model.eval()
 
-    # -- construction from checkpoints -------------------------------------
-
-    @classmethod
-    def from_checkpoint(
-        cls, path: str | pathlib.Path, model, task: str, **kwargs: Any
-    ) -> "InferenceEngine":
-        """Load one checkpoint archive into ``model`` and wrap it."""
-        iteration = load_checkpoint(path, model)
-        step = CheckpointManager.step_of(path)
-        version = step if step is not None else iteration
-        return cls(model, task, version=version, **kwargs)
+    # -- loading checkpoints -----------------------------------------------
 
     @classmethod
     def from_manager(
@@ -133,31 +126,19 @@ class InferenceEngine:
                 f"no loadable checkpoint in {manager.directory}"
             )
         iteration, path = loaded
-        step = CheckpointManager.step_of(path)
-        version = step if step is not None else iteration
-        return cls(model, task, version=version, **kwargs)
-
-    # -- hot-swap ----------------------------------------------------------
-
-    def swap_state(self, state: dict[str, np.ndarray], version: int) -> None:
-        """Replace the weights in place and bump :attr:`version`.
-
-        Not thread-safe against a concurrent forward: call it between
-        batches, the drain-then-swap discipline the server keeps for
-        :meth:`load_version`.
-        """
-        self.model.load_state_dict(state)
-        self.model.eval()
-        self.version = int(version)
-        if self._quantized is not None:
-            self._quantized.refresh(dict(self.model.named_parameters()))
+        engine = cls(model, task, **kwargs)
+        engine.version = _version_of(path, iteration)
+        return engine
 
     def load_version(self, path: str | pathlib.Path) -> int:
-        """Load ``path`` into the model; returns the new version."""
+        """Load ``path`` into the model; returns the new version.
+
+        Not thread-safe against a concurrent forward: the server calls it
+        between batches.
+        """
         iteration = load_checkpoint(path, self.model)
         self.model.eval()
-        step = CheckpointManager.step_of(path)
-        self.version = step if step is not None else iteration
+        self.version = _version_of(path, iteration)
         if self._quantized is not None:
             self._quantized.refresh(dict(self.model.named_parameters()))
         return self.version
@@ -267,10 +248,11 @@ class PacedEngine:
     test.  Results are the wrapped engine's real results; only timing is
     simulated.
 
-    Everything not overridden here (``version``, ``load_version``,
-    ``swap_state``, the task heads) delegates to the wrapped engine, so
-    a :class:`PacedEngine` drops into :class:`~repro.serve.server.Server`
-    and the replica harness unchanged.
+    Everything not overridden here (``version``, ``load_version``, the
+    task heads) delegates to the wrapped engine, so a
+    :class:`PacedEngine` drops into :class:`~repro.serve.server.Server`
+    and the replica harness unchanged; ``repro serve-bench
+    --paced-batch-ms`` wraps each engine it builds in one.
     """
 
     def __init__(
@@ -288,7 +270,7 @@ class PacedEngine:
 
     def __getattr__(self, name: str) -> Any:
         # delegate everything the wrapper does not define (version,
-        # load_version, swap_state, task, classify, ...)
+        # load_version, task, classify, ...)
         return getattr(self.engine, name)
 
     def service_time_s(self, batch_size: int) -> float:

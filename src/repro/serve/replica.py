@@ -7,10 +7,10 @@ The scale-out fleet (:mod:`repro.serve.router`) is N copies of the
 the :class:`~repro.parallel.mp.PersistentProcess` harness the training
 side already uses for gradient workers.  This module is the child half:
 
-* ``_replica_main`` builds the stack inside the child (its own metrics
-  registry, tracer and :class:`~repro.obs.telemetry.DeltaExporter`, so
-  telemetry crosses the process boundary the same piggyback way worker
-  telemetry does) and serves a tiny message protocol;
+* ``_replica_main`` builds the stack inside the child (with a
+  :class:`~repro.obs.telemetry.ChildTelemetry` when telemetry is on, the
+  channel the data-parallel workers ship theirs through) and serves a
+  tiny message protocol;
 * :class:`ReplicaHandle` is the parent-side view: the process, its
   in-flight request table, and the last load/version report — the raw
   material every routing policy reads.
@@ -34,11 +34,13 @@ Replica → parent:
                                    is identity-compared and does not survive
                                    pickling); ``ver``/``d`` are the engine
                                    version and queue depth at completion.
-``("tele", info)``                 heartbeat: pid, version, depth, counters,
-                                   metric delta + trace dump when telemetry
-                                   is on.  Sent every idle ``tick`` seconds,
-                                   so the parent's load/version view is never
-                                   older than one tick.
+``("tele", info)``                 heartbeat: version, depth, counters and
+                                   the :class:`~repro.obs.telemetry.
+                                   ChildTelemetry` payload (``None`` with
+                                   telemetry off).  Sent every idle
+                                   :data:`TICK` seconds, so the parent's
+                                   load/version view is never older than
+                                   one tick.
 ``("bye", info)``                  final report before a clean exit.
 =================================  ===========================================
 
@@ -50,19 +52,16 @@ convergence leans on.
 
 from __future__ import annotations
 
-import os
 import queue
 from functools import partial
-from types import SimpleNamespace
 
-from repro.obs.metrics import MetricsRegistry, set_active
-from repro.obs.telemetry import DeltaExporter
-from repro.obs.trace import Tracer
+from repro.obs.metrics import set_active
+from repro.obs.telemetry import ChildTelemetry
 from repro.parallel.mp import PersistentProcess
 from repro.serve.batcher import SHED, DynamicBatcher
 from repro.serve.server import Server
 
-__all__ = ["ReplicaHandle", "SHED_MARKER", "DEFAULT_TICK"]
+__all__ = ["ReplicaHandle", "SHED_MARKER", "TICK"]
 
 #: Wire stand-in for the :data:`~repro.serve.batcher.SHED` sentinel —
 #: identity does not survive pickling, so the parent re-finishes the
@@ -71,7 +70,7 @@ SHED_MARKER = "__shed__"
 
 #: Idle heartbeat period (seconds): the staleness bound on the parent's
 #: view of a quiet replica's queue depth and version.
-DEFAULT_TICK = 0.05
+TICK = 0.05
 
 
 def _replica_main(
@@ -79,7 +78,6 @@ def _replica_main(
     batcher_kwargs,
     telemetry,
     metrics_every_batches,
-    tick,
     req_q,
     resp_q,
 ) -> None:
@@ -90,39 +88,27 @@ def _replica_main(
     ``spawn`` it must be picklable, i.e. module-level — the same
     constraint the training workers' model factories carry).
     """
-    registry = exporter = tracer = obs = None
-    trace_sent = 0
-    if telemetry:
-        registry = MetricsRegistry()
-        exporter = DeltaExporter(registry)
-        tracer = Tracer()
-        obs = SimpleNamespace(tracer=tracer)
+    tele = ChildTelemetry() if telemetry else None
     # under fork the child inherits the parent's active registry — point
     # the stack at our own (or at nothing) so replica metrics never leak
     # into a copied parent object
-    set_active(registry)
+    set_active(tele.registry if tele is not None else None)
     engine = engine_factory()
-    batcher = DynamicBatcher(**(batcher_kwargs or {}))
+    batcher = DynamicBatcher(**batcher_kwargs)
     server = Server(
         engine,
         batcher,
-        obs=obs,
+        obs=tele,  # the server reads only ``obs.tracer``
         metrics_every_batches=metrics_every_batches if telemetry else 0,
     )
 
     def info() -> dict:
-        nonlocal trace_sent
-        payload = {
-            "pid": os.getpid(),
+        return {
             "version": engine.version,
             "depth": batcher.depth(),
             "counters": server.counters(),
+            "tele": tele.ship() if tele is not None else None,
         }
-        if telemetry:
-            payload["metrics"] = exporter.export()
-            payload["trace"] = tracer.dump(trace_sent)
-            trace_sent = len(tracer.events)
-        return payload
 
     def ship(rid: int, request) -> None:
         # runs on whichever thread finishes the request (worker thread,
@@ -134,7 +120,7 @@ def _replica_main(
     try:
         while True:
             try:
-                msg = req_q.get(timeout=tick)
+                msg = req_q.get(timeout=TICK)
             except queue.Empty:
                 resp_q.put(("tele", info()))
                 continue
@@ -149,7 +135,7 @@ def _replica_main(
     finally:
         # drain: every queued request is answered (and shipped by its
         # on_done hook) before the final report — retirement drops nothing
-        server.stop(drain=True)
+        server.stop()
         resp_q.put(("bye", info()))
 
 
@@ -173,8 +159,6 @@ class ReplicaHandle:
         batcher: dict | None = None,
         telemetry: bool = True,
         metrics_every_batches: int = 0,
-        tick: float = DEFAULT_TICK,
-        ctx=None,
     ) -> None:
         self.index = index
         self.proc = PersistentProcess(
@@ -184,27 +168,19 @@ class ReplicaHandle:
                 dict(batcher or {}),
                 bool(telemetry),
                 int(metrics_every_batches),
-                float(tick),
             ),
-            ctx=ctx,
             name=f"repro-serve-r{index}",
         )
-        self.pid = self.proc.proc.pid
         self.pending: dict[int, object] = {}
         self.depth = 0
         self.version: int | None = None
         self.counters: dict[str, int] = {}
-        self.retired = False
         self.dead = False
 
     @property
     def active(self) -> bool:
-        """Routable: not retiring, not dead, process still up."""
-        return not self.retired and not self.dead and self.proc.alive
-
-    @property
-    def outstanding(self) -> int:
-        return len(self.pending)
+        """Routable: not dead, process still up."""
+        return not self.dead and self.proc.alive
 
     # -- parent → replica messages ------------------------------------------
 

@@ -3,8 +3,8 @@
 The paper's training-side argument — throughput scales with batch
 parallelism once the surrounding machinery is right — has a serving
 analogue: aggregate throughput scales with *replica* parallelism once
-routing, version coordination and capacity management are right.
-:class:`Router` is that machinery:
+routing and version coordination are right.  :class:`Router` is that
+machinery:
 
 * **routing policies** (:data:`POLICIES`) —
 
@@ -12,10 +12,9 @@ routing, version coordination and capacity management are right.
     under uniform service times;
   - ``least-loaded``: pick the replica whose *reported* queue depth is
     smallest (ties break by replica index).  The signal is the
-    ``serve/queue_depth`` gauge each replica ships over its
-    :class:`~repro.obs.telemetry.DeltaExporter` heartbeat — which is
-    exactly why the stale-gauge bug mattered: a gauge frozen at its last
-    burst value starves a healthy replica;
+    replica's ``batcher.depth()``, carried on every result and every
+    idle heartbeat, so it is never older than one heartbeat tick — with
+    telemetry on or off;
   - ``jsq`` (join-shortest-queue): pick the replica with the fewest
     requests *this router* has in flight to it.  Exact and lag-free
     (no heartbeat involved), the classic supermarket-model winner;
@@ -29,18 +28,16 @@ routing, version coordination and capacity management are right.
   after convergence can carry a stale version — and nothing is dropped,
   because each replica applies its swap between batches;
 
-* **autoscaling** — the control thread watches mean in-flight load per
-  active replica and spawns (up to ``max_replicas``) or retires (down
-  to ``min_replicas``) after ``scale_patience`` consecutive ticks past
-  the thresholds.  Retirement picks the highest-index replica, stops
-  routing to it immediately, and lets it drain — its in-flight results
-  still come back, so scale-down sheds nothing;
+* **respawn** — a replica that dies is detected, its pending requests
+  fail with an error dict (never a hang), and the control thread
+  respawns the fleet back to ``replicas``;
 
-* **telemetry merge** — each replica's metric deltas land in the active
-  registry under ``serve/r<i>/...`` (sequence-numbered, so re-delivery
-  cannot double-count) and its trace dump is absorbed as a per-pid lane
-  named ``replica <i>`` in the merged Chrome trace, mirroring the
-  ``parallel/w<i>/`` discipline of :class:`~repro.parallel.mp.MultiprocessCluster`.
+* **telemetry merge** — each replica's heartbeat payload goes through
+  :func:`~repro.obs.telemetry.absorb_child`, the channel
+  :class:`~repro.parallel.mp.MultiprocessCluster` uses for its workers:
+  metric deltas land in the active registry under ``serve/r<i>/...``
+  (sequence-numbered, so re-delivery cannot double-count) and spans in a
+  per-pid lane named ``replica <i>`` in the merged Chrome trace.
 """
 
 from __future__ import annotations
@@ -56,14 +53,19 @@ from typing import Any
 import numpy as np
 
 from repro.obs.metrics import get_active
+from repro.obs.telemetry import absorb_child
 from repro.serve.batcher import SHED, Request
-from repro.serve.replica import DEFAULT_TICK, SHED_MARKER, ReplicaHandle
+from repro.serve.replica import SHED_MARKER, ReplicaHandle
 from repro.utils.checkpoint import CheckpointManager
 
 __all__ = ["Router", "POLICIES"]
 
 #: The routing policies ``Router(policy=...)`` accepts.
 POLICIES = ("round-robin", "least-loaded", "jsq")
+
+#: Seconds between control-thread ticks: manager poll, respawn check and
+#: (with ``sample_metrics``) one registry sample.
+POLL_INTERVAL = 0.25
 
 
 class Router:
@@ -76,9 +78,8 @@ class Router:
         process (a closure is fine under the default ``fork`` start
         method).  Every replica gets its own copy — weights are never
         shared across the fleet except through checkpoints.
-    replicas / min_replicas / max_replicas:
-        Fleet size at start, and the autoscaler's bounds (both default
-        to ``replicas``, which disables scaling).
+    replicas:
+        Fleet size, kept by respawning any replica that dies.
     policy:
         One of :data:`POLICIES`.
     batcher:
@@ -86,7 +87,7 @@ class Router:
         :class:`~repro.serve.batcher.DynamicBatcher`.
     manager:
         Optional :class:`CheckpointManager`; the control thread polls it
-        every ``poll_interval`` seconds (single directory scan, step via
+        every :data:`POLL_INTERVAL` seconds (single directory scan, step via
         :meth:`CheckpointManager.step_of` — same TOCTOU-free pattern as
         :meth:`Server.poll_for_update`) and stages a coordinated swap
         whenever a checkpoint newer than the fleet minimum appears.
@@ -98,10 +99,6 @@ class Router:
         every tick, so merged ``serve/r<i>/...`` series land in the
         time-series ring (and any attached stream file).  ``obs``
         supplies the tracer that absorbs replica trace dumps.
-    scale_up_depth / scale_down_depth / scale_patience:
-        Autoscaler knobs: mean in-flight requests per active replica
-        above/below which, after that many consecutive control ticks,
-        the fleet grows/shrinks.
     """
 
     def __init__(
@@ -112,18 +109,10 @@ class Router:
         policy: str = "round-robin",
         batcher: dict | None = None,
         manager: CheckpointManager | None = None,
-        poll_interval: float = 0.25,
         telemetry: bool = True,
         metrics_every_batches: int = 0,
         sample_metrics: bool = False,
         obs=None,
-        tick: float = DEFAULT_TICK,
-        min_replicas: int | None = None,
-        max_replicas: int | None = None,
-        scale_up_depth: float = 8.0,
-        scale_down_depth: float = 1.0,
-        scale_patience: int = 4,
-        ctx=None,
     ) -> None:
         if policy not in POLICIES:
             raise ValueError(
@@ -135,24 +124,11 @@ class Router:
         self.policy = policy
         self.batcher_kwargs = dict(batcher or {})
         self.manager = manager
-        self.poll_interval = float(poll_interval)
         self.telemetry = bool(telemetry)
         self.metrics_every_batches = int(metrics_every_batches)
         self.sample_metrics = bool(sample_metrics)
         self.obs = obs
-        self.tick = float(tick)
-        self.min_replicas = replicas if min_replicas is None else int(min_replicas)
-        self.max_replicas = replicas if max_replicas is None else int(max_replicas)
-        if not (1 <= self.min_replicas <= replicas <= self.max_replicas):
-            raise ValueError(
-                "need 1 <= min_replicas <= replicas <= max_replicas, got "
-                f"{self.min_replicas} <= {replicas} <= {self.max_replicas}"
-            )
-        self.scale_up_depth = float(scale_up_depth)
-        self.scale_down_depth = float(scale_down_depth)
-        self.scale_patience = max(1, int(scale_patience))
-        self._initial = int(replicas)
-        self._ctx = ctx
+        self.replicas = int(replicas)
 
         self._handles: list[ReplicaHandle] = []
         self._collectors: list[threading.Thread] = []
@@ -166,13 +142,9 @@ class Router:
         self.requests_total = 0
         self.shed_total = 0
         self.swaps_total = 0
-        self.scale_ups = 0
-        self.scale_downs = 0
         self._staged: tuple[int, pathlib.Path] | None = None
         self._swap_waiters: list[tuple[int, threading.Event]] = []
         self._swapped_step = -1  # the newest step counted in swaps_total
-        self._high_ticks = 0
-        self._low_ticks = 0
         self._running = False
         self._accepting = False
         self._control: threading.Thread | None = None
@@ -185,7 +157,7 @@ class Router:
         self._running = True
         self._accepting = True
         with self._lock:
-            for _ in range(self._initial):
+            for _ in range(self.replicas):
                 self._spawn_locked()
         self._control = threading.Thread(
             target=self._control_loop, name="repro-route-ctl", daemon=True
@@ -203,8 +175,7 @@ class Router:
         with self._lock:
             handles = list(self._handles)
         for handle in handles:
-            if not handle.retired and not handle.dead and handle.proc.alive:
-                handle.retired = True
+            if handle.active:
                 handle.request_stop()
         for thread in self._collectors:
             thread.join(timeout=30.0)
@@ -220,7 +191,7 @@ class Router:
 
     # -- fleet management ---------------------------------------------------
 
-    def _spawn_locked(self) -> ReplicaHandle:
+    def _spawn_locked(self) -> None:
         """Start one replica (caller holds the lock); indices never reuse,
         so each replica keeps a distinct trace lane and metric prefix."""
         index = self._next_index
@@ -231,8 +202,6 @@ class Router:
             batcher=self.batcher_kwargs,
             telemetry=self.telemetry,
             metrics_every_batches=self.metrics_every_batches,
-            tick=self.tick,
-            ctx=self._ctx,
         )
         if self._staged is not None:
             # a freshly spawned replica may have loaded older weights —
@@ -247,15 +216,6 @@ class Router:
         )
         self._collectors.append(collector)
         collector.start()
-        return handle
-
-    def _retire_one_locked(self) -> ReplicaHandle | None:
-        active = [h for h in self._handles if h.active]
-        if len(active) <= self.min_replicas:
-            return None
-        handle = max(active, key=lambda h: h.index)
-        handle.retired = True  # out of the routing set immediately
-        return handle
 
     def _fail_pending(self, handle: ReplicaHandle, why: str) -> None:
         with self._lock:
@@ -314,32 +274,11 @@ class Router:
             handle.depth = info["depth"]
             handle.version = info["version"]
             handle.counters = dict(info["counters"])
-            handle.pid = info["pid"]
-        reg = get_active()
-        if reg is not None and "metrics" in info:
-            delta = info["metrics"]
-            snaps = []
-            for snap in delta["metrics"]:
-                snap = dict(snap)
-                name = snap["name"]
-                # replica-local names are serve/<x>; merged they become
-                # serve/r<i>/<x>, not serve/r<i>/serve/<x>
-                if name.startswith("serve/"):
-                    name = name[len("serve/"):]
-                snap["name"] = name
-                snaps.append(snap)
-            reg.merge(
-                snaps,
-                prefix=f"serve/r{handle.index}/",
-                source=f"r{handle.index}:{info['pid']}",
-                seq=delta["seq"],
-            )
-        tracer = getattr(self.obs, "tracer", None) if self.obs else None
-        if tracer is not None and info.get("trace", {}).get("events"):
-            tracer.absorb(
-                info["trace"],
-                prefix=f"r{handle.index}",
-                process_name=f"replica {handle.index}",
+        if info["tele"] is not None:
+            absorb_child(
+                info["tele"], namespace="serve", child=f"r{handle.index}",
+                lane=f"replica {handle.index}",
+                tracer=getattr(self.obs, "tracer", None),
             )
 
     # -- submission (any thread) --------------------------------------------
@@ -476,53 +415,24 @@ class Router:
         for event in fired:
             event.set()
 
-    # -- the control loop (manager poll + autoscale + sampling) -------------
+    # -- the control loop (manager poll + respawn + sampling) ---------------
 
     def _control_loop(self) -> None:
         while self._running:
-            time.sleep(self.poll_interval)
+            time.sleep(POLL_INTERVAL)
             if not self._running:
                 break
             self.poll_for_update()
-            retiree = None
             with self._lock:
-                active = [h for h in self._handles if h.active]
-                n = len(active)
-                if n < self.min_replicas:
-                    # a replica died: restore the floor before policy math
+                if sum(1 for h in self._handles if h.active) < self.replicas:
+                    # a replica died: one respawn per tick
                     self._spawn_locked()
-                else:
-                    load = sum(h.depth + len(h.pending) for h in active) / n
-                    if load > self.scale_up_depth and n < self.max_replicas:
-                        self._high_ticks += 1
-                        self._low_ticks = 0
-                        if self._high_ticks >= self.scale_patience:
-                            self._high_ticks = 0
-                            self._spawn_locked()
-                            self.scale_ups += 1
-                    elif load < self.scale_down_depth and n > self.min_replicas:
-                        self._low_ticks += 1
-                        self._high_ticks = 0
-                        if self._low_ticks >= self.scale_patience:
-                            self._low_ticks = 0
-                            retiree = self._retire_one_locked()
-                            if retiree is not None:
-                                self.scale_downs += 1
-                    else:
-                        self._high_ticks = 0
-                        self._low_ticks = 0
-            if retiree is not None:
-                retiree.request_stop()  # drains, ships results, says bye
             if self.sample_metrics:
                 reg = get_active()
                 if reg is not None:
                     reg.sample()
 
     # -- convenience --------------------------------------------------------
-
-    def replica_count(self) -> int:
-        with self._lock:
-            return sum(1 for h in self._handles if h.active)
 
     def versions(self) -> dict[int, int | None]:
         """Last reported checkpoint step per replica (all ever spawned)."""
@@ -541,6 +451,4 @@ class Router:
                 "errors": sum(c.get("errors", 0) for c in per),
                 "alarms": sum(c.get("alarms", 0) for c in per),
                 "replicas": sum(1 for h in self._handles if h.active),
-                "scale_ups": self.scale_ups,
-                "scale_downs": self.scale_downs,
             }

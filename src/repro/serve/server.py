@@ -52,6 +52,10 @@ LATENCY_MS_BUCKETS: tuple[float, ...] = (
     0.5, 1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 5000.0,
 )
 
+#: With a manager attached, the worker polls it once per this many loop
+#: turns (each a dispatched batch or a 10 ms idle wait).
+SWAP_POLL_BATCHES = 16
+
 
 class Server:
     """Dynamic-batching inference server over one engine.
@@ -66,21 +70,22 @@ class Server:
     manager:
         Optional :class:`CheckpointManager` watched for new checkpoints;
         :meth:`poll_for_update` (called automatically every
-        ``swap_poll_batches`` dispatched batches) stages a hot-swap when
-        the step of ``manager.latest()`` beats the engine's version.
+        :data:`SWAP_POLL_BATCHES` dispatched batches or idle waits)
+        stages a hot-swap when the step of ``manager.latest()`` beats
+        the engine's version.
     obs:
         Optional :class:`repro.obs.Obs`; its tracer wraps each batch in a
         ``serve/batch`` span.  Metrics always go to the *active* registry
         (:func:`repro.obs.get_active`), matching every other producer in
         the stack.
-    metrics_every_batches / health:
+    metrics_every_batches:
         ``metrics_every_batches > 0`` makes the worker thread sample the
         active registry into its time-series ring every that many
         dispatched batches and route each sample through a
-        :class:`~repro.obs.telemetry.HealthMonitor` (``health``,
-        defaulting to :func:`~repro.obs.telemetry.default_serving_rules`
-        sized to the batcher's queue capacity).  A **critical** event —
-        the shed-rate alarm — bumps ``alarms_total`` and the
+        :class:`~repro.obs.telemetry.HealthMonitor` (``self.health``)
+        with :func:`~repro.obs.telemetry.default_serving_rules` sized to
+        the batcher's queue capacity.  A **critical** event — the
+        shed-rate alarm — bumps ``alarms_total`` and the
         ``serve/alarms`` counter; the full event log stays on
         ``server.health.events`` for the run report.
     """
@@ -91,24 +96,21 @@ class Server:
         batcher: DynamicBatcher | None = None,
         *,
         manager: CheckpointManager | None = None,
-        swap_poll_batches: int = 16,
         obs=None,
         metrics_every_batches: int = 0,
-        health: HealthMonitor | None = None,
     ) -> None:
         self.engine = engine
         self.batcher = batcher if batcher is not None else DynamicBatcher()
         self.manager = manager
-        self.swap_poll_batches = max(1, int(swap_poll_batches))
         self.obs = obs
         if metrics_every_batches < 0:
             raise ValueError("metrics_every_batches must be >= 0")
         self.metrics_every_batches = int(metrics_every_batches)
-        if health is None and metrics_every_batches > 0:
-            health = HealthMonitor(
-                default_serving_rules(self.batcher.max_queue_depth)
-            )
-        self.health = health
+        self.health = (
+            HealthMonitor(default_serving_rules(self.batcher.max_queue_depth))
+            if metrics_every_batches > 0
+            else None
+        )
         self.requests_total = 0
         self.shed_total = 0
         self.swaps_total = 0
@@ -136,23 +138,19 @@ class Server:
         self._thread.start()
         return self
 
-    def stop(self, drain: bool = True) -> None:
-        """Stop the worker; with ``drain`` every queued request is served."""
+    def stop(self) -> None:
+        """Stop the worker once every queued request is served."""
         self._accepting = False
-        self._drain_on_stop = drain
         self._running = False
         if self._thread is not None:
             self._thread.join()
             self._thread = None
-        if not drain:
-            for req in self.batcher.drain():
-                self._shed(req)
 
     def __enter__(self) -> "Server":
         return self.start()
 
     def __exit__(self, *exc: object) -> None:
-        self.stop(drain=True)
+        self.stop()
 
     # -- submission (any thread) -------------------------------------------
 
@@ -192,8 +190,8 @@ class Server:
         if reg is not None:
             reg.counter("serve/shed").inc()
             # a shed changes nothing in the queue, but the gauge may be
-            # stale from a previous burst — refresh it so the routing
-            # signal reflects reality at the moment of refusal
+            # stale from a previous burst — refresh it so the time series
+            # and the queue-saturation rule see the depth at refusal
             reg.gauge("serve/queue_depth").set(self.batcher.depth())
         request.finish(SHED)
 
@@ -324,12 +322,13 @@ class Server:
                 if not self._running:
                     break
                 # idle tick: keep the queue-depth gauge live — frozen at
-                # the last served depth it poisons least-loaded routing
+                # the last served depth it misleads the time series and
+                # the queue-saturation rule
                 reg = get_active()
                 if reg is not None:
                     reg.gauge("serve/queue_depth").set(self.batcher.depth())
                 since_poll += 1
-                if self.manager is not None and since_poll >= self.swap_poll_batches:
+                if self.manager is not None and since_poll >= SWAP_POLL_BATCHES:
                     since_poll = 0
                     self.poll_for_update()
                 continue
@@ -346,17 +345,16 @@ class Server:
                     since_sample = 0
                     self._sample_telemetry()
             since_poll += 1
-            if self.manager is not None and since_poll >= self.swap_poll_batches:
+            if self.manager is not None and since_poll >= SWAP_POLL_BATCHES:
                 since_poll = 0
                 self.poll_for_update()
         # drain: after stop(), answer whatever is still queued
-        if getattr(self, "_drain_on_stop", True):
-            while True:
-                self._apply_pending_swap()
-                batch = self.batcher.next_batch(timeout=0.0)
-                if batch is None:
-                    break
-                self._serve_batch(batch)
+        while True:
+            self._apply_pending_swap()
+            batch = self.batcher.next_batch(timeout=0.0)
+            if batch is None:
+                break
+            self._serve_batch(batch)
 
     # -- convenience -------------------------------------------------------
 

@@ -175,9 +175,9 @@ class ResilientTrainer(CheckpointedTrainer):
 
     The :class:`~repro.train.trainer.Trainer` loop with a rollback fault
     policy and checkpoints.  A fault is a non-finite loss (after
-    ``fault_injector``), a non-finite eval metric, or a critical health
-    event; each one rolls back until ``max_recoveries`` is spent, and the
-    next ends the run as diverged.
+    ``fault_injector``) or a non-finite eval metric; each one rolls back
+    until ``max_recoveries`` is spent, and the next ends the run as
+    diverged.  The health monitor only records events.
 
     Parameters
     ----------
@@ -223,13 +223,11 @@ class ResilientTrainer(CheckpointedTrainer):
         time-series ring every that many iterations and routes each
         sample through a :class:`~repro.obs.telemetry.HealthMonitor`
         with the default training rules (``self.health``; see
-        :meth:`CheckpointedTrainer._monitor`).  Any
-        **critical** :class:`~repro.obs.telemetry.HealthEvent` raised on
-        a periodic sample triggers a rollback; a non-finite loss is
-        additionally force-sampled before its rollback so the
-        ``nonfinite-loss`` rule fires as a structured event on the very
-        iteration it recovers from.  The monitor's event log feeds the
-        run report.
+        :meth:`CheckpointedTrainer._monitor`).  The monitor only records
+        events: a non-finite loss is what triggers the rollback, and it
+        is force-sampled first, so the ``nonfinite-loss`` rule fires as
+        a structured event on the very iteration it recovers from.  The
+        monitor's event log feeds the run report.
     """
 
 

@@ -27,8 +27,8 @@ them overridden, and have no loop of their own:
 * **run start** — iteration 0; or a resume / baseline checkpoint;
 * **epoch start** — keep the loader; or change the batch size;
 * **after step** — nothing; or a noise-scale feed;
-* **fault** (non-finite loss or eval metric, critical health event) —
-  stop, recorded as diverged; or roll back to the last checkpoint;
+* **fault** (non-finite loss or eval metric) — stop, recorded as
+  diverged; or roll back to the last checkpoint;
 * **epoch end** — nothing; or a checkpoint;
 * **finish** — ``diverged`` in the final metrics; plus the policy's counts.
 
@@ -196,7 +196,7 @@ class Trainer:
 
     # policy state that the other trainers set; the plain loop has none
     fault_injector: Callable[[int, float], float] | None = None
-    health = None  # a HealthMonitor: a critical event on a sample is a fault
+    health = None  # a HealthMonitor that records each sample's events
     _run_span = "train"
 
     def run(self, epochs: int, log_every: int = 1, resume: bool = False) -> TrainResult:
@@ -213,13 +213,15 @@ class Trainer:
         with self._span(self._run_span):
             return self._loop(epochs, log_every, resume)
 
-    def _sample(self, mreg, iteration: int) -> bool:
-        """Sample the registry; True when the health monitor calls it a fault.
+    def _sample(self, mreg, iteration: int) -> None:
+        """Sample the registry and pass the sample to :attr:`health`.
 
-        First counts the process's minor page faults and system CPU time
-        since the previous sample (since the run's start for the first)
-        into ``proc/minor_faults`` and ``proc/sys_ms``: the kernel's share
-        of a step, which happens inside numpy calls where no span sees it.
+        The monitor only records events; a fault is a non-finite loss or
+        eval metric, never a health event.  First counts the process's
+        minor page faults and system CPU time since the previous sample
+        (since the run's start for the first) into ``proc/minor_faults``
+        and ``proc/sys_ms``: the kernel's share of a step, which happens
+        inside numpy calls where no span sees it.
         """
         faults, sys_s = _proc_usage()
         faults0, sys_s0 = self._proc_seen
@@ -227,9 +229,8 @@ class Trainer:
         mreg.counter("proc/sys_ms").inc((sys_s - sys_s0) * 1e3)
         self._proc_seen = (faults, sys_s)
         sample = mreg.sample(step=iteration)
-        return self.health is not None and any(
-            event.critical for event in self.health.observe(sample)
-        )
+        if self.health is not None:
+            self.health.observe(sample)
 
     def _loop(self, epochs: int, log_every: int, resume: bool) -> TrainResult:
         obs = self.obs
@@ -308,18 +309,8 @@ class Trainer:
                         mreg.histogram(
                             "train/grad_norm", GRAD_NORM_BUCKETS
                         ).observe(norm)
-                    if (
-                        sample_every
-                        and (iteration + 1) % sample_every == 0
-                        and self._sample(mreg, iteration)
-                    ):
-                        # a critical health rule (grad-norm blow-up,
-                        # trust-ratio collapse, ...) is a fault even though
-                        # the loss itself still looks finite
-                        _record_point(log, iteration, loss_val, lr, norm)
-                        pending = None
-                        faulted = True
-                        break
+                    if sample_every and (iteration + 1) % sample_every == 0:
+                        self._sample(mreg, iteration)
                 if iteration % log_every == 0:
                     _record_point(log, iteration, loss_val, lr, norm)
                     pending = None

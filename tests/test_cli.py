@@ -340,6 +340,42 @@ class TestServeBench:
         assert code == 0
         assert "version 5" in out
 
+    def test_fleet_serves_the_snapshot_from_every_replica(
+        self, capsys, tmp_path
+    ):
+        from repro.experiments import build_workload
+        from repro.utils import CheckpointManager
+
+        wl = build_workload("mnist", "smoke")
+        CheckpointManager(tmp_path).save(wl.make_model(0), iteration=5, step=5)
+        code = main(
+            ["serve-bench", "mnist", "--snapshot", str(tmp_path),
+             "--replicas", "2", "--mode", "closed", "--clients", "2",
+             "--requests-per-client", "4"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "fleet: 2 replicas" in out
+        # the replicas' goodbye reports make these final once the
+        # router has stopped
+        assert "versions {0: 5, 1: 5}" in out
+        assert "shed: 0" in out
+        serving = next(l for l in out.splitlines() if l.startswith("serving"))
+        assert "version 5" in serving
+
+    def test_fleet_fails_when_no_replica_loads_the_snapshot(
+        self, capsys, tmp_path
+    ):
+        # the parent builds no model, so a bad snapshot surfaces in the
+        # replicas; the run must still fail
+        code = main(
+            ["serve-bench", "mnist", "--snapshot", str(tmp_path / "no.npz"),
+             "--replicas", "2", "--mode", "closed", "--clients", "1",
+             "--requests-per-client", "1"]
+        )
+        assert code == 1
+        assert "no replica came up" in capsys.readouterr().err
+
     def test_gnmt_head_serves_variable_lengths(self, capsys):
         code = main(
             ["serve-bench", "gnmt", "--mode", "closed", "--clients", "2",

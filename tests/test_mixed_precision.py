@@ -34,7 +34,11 @@ from repro.tensor import (
     quantize_fp16_stochastic,
 )
 from repro.train import Trainer
-from repro.utils.checkpoint import load_checkpoint, save_checkpoint
+from repro.utils.checkpoint import (
+    CheckpointManager,
+    load_checkpoint,
+    save_checkpoint,
+)
 
 
 def make_linear_problem(rng, n=64, d=4, classes=3):
@@ -534,7 +538,7 @@ class TestInt8Serving:
         with pytest.raises(ValueError):
             InferenceEngine(model, "ptb", quantize="int8")
 
-    def test_hot_swap_requantizes(self):
+    def test_hot_swap_requantizes(self, tmp_path):
         model, _, quant = self.make_engines()
         rng = np.random.default_rng(3)
         images = rng.standard_normal((8, 28, 28))
@@ -544,8 +548,9 @@ class TestInt8Serving:
         other = MnistLSTMClassifier(
             rng=7, input_dim=28, transform_dim=32, hidden=32
         )
-        state = {n: p.data.copy() for n, p in other.named_parameters()}
-        quant.swap_state(state, version=2)
+        # the path the server's hot-swap takes: a checkpoint on disk
+        path = CheckpointManager(tmp_path).save(other, iteration=2, step=2)
+        assert quant.load_version(path) == 2
         after = np.stack([r["logits"] for r in quant.classify(images)])
         assert not np.allclose(before, after)
         fresh = InferenceEngine(other, "mnist", quantize="int8")

@@ -1,9 +1,9 @@
-"""The serving fleet: routing policies, coordinated swap, autoscaling.
+"""The serving fleet: routing policies, coordinated swap, respawn.
 
 Covers the scale-out acceptance criteria: policy determinism under fixed
 seeds, zero dropped and zero stale requests across a fleet-wide
 coordinated hot-swap, per-replica telemetry merge under ``serve/r<i>/``,
-queue-depth-driven autoscaling, and replica-death recovery.
+and replica-death recovery.
 
 Engines are built *inside* each replica process by module-level
 factories (fork-safe and picklable).  Pacing via
@@ -49,10 +49,6 @@ def slow_engine_factory():
     return PacedEngine(engine_factory(), t_fixed_ms=200.0, t_sample_ms=0.0)
 
 
-def paced_engine_factory():
-    return PacedEngine(engine_factory(), t_fixed_ms=40.0, t_sample_ms=1.0)
-
-
 BATCHER = dict(max_batch_size=8, max_wait_ms=2.0, max_queue_depth=4096)
 
 
@@ -64,10 +60,6 @@ class TestRouterValidation:
     def test_replica_bounds_validated(self):
         with pytest.raises(ValueError):
             Router(engine_factory, replicas=0)
-        with pytest.raises(ValueError):
-            Router(engine_factory, replicas=2, min_replicas=3)
-        with pytest.raises(ValueError):
-            Router(engine_factory, replicas=2, max_replicas=1)
 
     def test_policies_constant_matches(self):
         assert POLICIES == ("round-robin", "least-loaded", "jsq")
@@ -142,7 +134,7 @@ class TestCoordinatedSwap:
 
         router = Router(
             factory, replicas=2, policy="round-robin", batcher=BATCHER,
-            manager=mgr, poll_interval=0.1,
+            manager=mgr,
         )
         with router:
             time.sleep(0.3)
@@ -208,7 +200,7 @@ class TestCoordinatedSwap:
 
         router = Router(
             factory, replicas=2, policy="round-robin", batcher=BATCHER,
-            manager=mgr, poll_interval=0.05,
+            manager=mgr,
         )
         with router:
             time.sleep(0.3)
@@ -231,46 +223,11 @@ class TestCoordinatedSwap:
             router.request_swap(weights)  # no step clock in the name
 
 
-class TestAutoscaling:
-    def test_scale_up_under_load_and_back_down_when_idle(self):
-        router = Router(
-            paced_engine_factory, replicas=1, min_replicas=1, max_replicas=3,
-            policy="jsq", poll_interval=0.1, scale_up_depth=4.0,
-            scale_down_depth=0.5, scale_patience=2,
-            batcher=BATCHER, telemetry=False,
-        )
-        with router:
-            time.sleep(0.2)
-            # offered well past one paced replica's capacity: queue builds,
-            # the control loop must grow the fleet
-            reqs = []
-            deadline = time.perf_counter() + 8.0
-            while (
-                router.replica_count() < 3
-                and time.perf_counter() < deadline
-            ):
-                reqs.extend(router.submit(make_image(i)) for i in range(4))
-                time.sleep(0.01)
-            assert router.replica_count() == 3
-            assert router.counters()["scale_ups"] >= 2
-            for req in reqs:
-                assert req.wait(60.0) and not req.shed
-            # idle: the fleet must shrink back to the floor, draining —
-            # not dropping — whatever the retired replicas still held
-            deadline = time.perf_counter() + 10.0
-            while (
-                router.replica_count() > 1
-                and time.perf_counter() < deadline
-            ):
-                time.sleep(0.05)
-            assert router.replica_count() == 1
-            assert router.counters()["scale_downs"] >= 2
-            assert router.counters()["shed"] == 0
-
+class TestDeadReplica:
     def test_dead_replica_respawned_and_pending_failed_loudly(self):
         router = Router(
             slow_engine_factory, replicas=2, policy="jsq", batcher=BATCHER,
-            poll_interval=0.1, telemetry=False,
+            telemetry=False,
         )
         with router:
             time.sleep(0.3)
@@ -288,11 +245,11 @@ class TestAutoscaling:
             assert failed, "killed replica's requests should fail loudly"
             deadline = time.perf_counter() + 10.0
             while (
-                router.replica_count() < 2
+                router.counters()["replicas"] < 2
                 and time.perf_counter() < deadline
             ):
                 time.sleep(0.05)
-            assert router.replica_count() == 2
+            assert router.counters()["replicas"] == 2
             # the respawned replica serves fresh traffic
             assert "label" in router.predict_sync(make_image(), timeout=30.0)
 

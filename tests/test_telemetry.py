@@ -217,7 +217,6 @@ class TestHealthMonitor:
         assert ev.rule == "nonfinite-loss" and ev.critical
         assert ev.instrument == "train/loss"
         assert mon.critical_count == 1
-        assert ev.to_dict()["type"] == "health_event"
 
     def test_threshold_rule_bounds_and_validation(self):
         rule = ThresholdRule("t", "x", above=2.0)
